@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +212,39 @@ def test_resource_cap_exit_3(monkeypatch, capsys):
     rc = cli.main(["density", "--set", "S", "--limit", "10"])
     assert rc == 3
     assert "resource cap" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# golden reports: the README examples, byte for byte
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN_CLI = REPO / "bench" / "golden" / "cli"
+
+# the same argv as the benchmark's cli-oneshot workload
+GOLDEN_COMMANDS = (
+    ("splice-3-4", ("splice", "--a", "3", "--b", "4", "--c", "-3", "--d", "4", "--pretty")),
+    ("splice-2-3", ("splice", "--a", "2", "--b", "3", "--c", "2", "--d", "-3")),
+    ("splice-3-5-changemaker",
+     ("splice", "--a", "3", "--b", "5", "--c", "-3", "--d", "5", "--changemaker")),
+    ("census-jobs1", ("census-2odd", "--jobs", "1", "--pretty")),
+    ("census-jobs2", ("census-2odd", "--jobs", "2", "--pretty")),
+    ("changemaker-enum", ("changemaker", "enum", "--len", "7", "--norm", "226")),
+    ("changemaker-embed",
+     ("changemaker", "embed", "--gram", "bench/data/gd.txt", "--p", "226", "--all")),
+    ("em-2-2-0-0", ("em", "--l", "2", "--m", "2", "--n", "0", "--p", "0")),
+    ("em-5-2-0-2", ("em", "--l", "5", "--m", "2", "--n", "0", "--p", "2")),
+    ("density-sk2", ("density", "--set", "Sk:2", "--limit", "845", "--bound")),
+    ("cable-t23", ("cable", "--knot", "T(2,3)")),
+    ("cable-c13", ("cable", "--knot", "C(13,2);T(2,3)")),
+    ("cable-c5-c13", ("cable", "--knot", "C(5,2);C(13,2);T(2,3)")),
+)
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_COMMANDS, ids=[n for n, _ in GOLDEN_COMMANDS])
+def test_golden_report_bytes(name, argv, monkeypatch, capsys):
+    from obstruct import cli
+
+    monkeypatch.chdir(REPO)  # the embed example names its Gram file relative to the root
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN_CLI / f"{name}.out").read_bytes()

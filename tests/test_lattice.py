@@ -292,6 +292,48 @@ def test_all_yielded_embeddings_verify():
             assert emb.verifies(family_2odd(1, 1))
 
 
+def complement_gram(rng, sigma):
+    """A Gram matrix of sigma's orthogonal complement in -Z^(len sigma), in a
+    scrambled basis: {e_j - s_j e_k : j != k} with s_k the first entry equal
+    to 1, mixed by a few +/-1 row operations and shuffled."""
+    s = sigma.entries
+    k = s.index(1)
+    basis = []
+    for j in range(len(s)):
+        if j != k:
+            v = [0] * len(s)
+            v[j] += 1
+            v[k] -= s[j]
+            basis.append(v)
+    for _ in range(rng.randint(2, 5)):
+        i, j = rng.sample(range(len(basis)), 2)
+        sign = rng.choice((1, -1))
+        basis[i] = [a + sign * b for a, b in zip(basis[i], basis[j])]
+    rng.shuffle(basis)
+    return la.GramMatrix.from_rows(
+        [[-sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    )
+
+
+def test_complement_forms_always_embed():
+    """Known positives: sigma's own complement must embed at norm |sigma|^2."""
+    rng = random.Random(5)
+    checked = 0
+    while checked < 200:
+        length = rng.randint(3, 6)
+        norm = rng.randint(1, 49)
+        sigmas = la.enumerate_changemakers(length, norm)
+        if not sigmas:
+            continue
+        sigma = rng.choice(sigmas)
+        gram = complement_gram(rng, sigma)
+        res = la.changemaker_obstruction(gram, norm, all_witnesses=True)
+        assert res.status == "witness", (sigma, gram)
+        assert sigma in [w.sigma for w in res.witnesses], (sigma, gram)
+        assert all(w.verifies(gram) for w in res.witnesses)
+        checked += 1
+
+
 # ---------------------------------------------------------------------------
 # Gram text format
 

@@ -252,6 +252,20 @@ def test_in_Sprime_against_oracle():
         assert nt.in_Sprime(n) == in_Sprime_oracle(n), n
 
 
+def test_membership_against_factor_large_n():
+    """n in [10^6, 3 * 10^9], where cofactors above 10^6 reach the early-exit
+    shortcuts and Pollard rho; oracle: the complete factorization."""
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(10**6, 3 * 10**9)
+        in_s = all(p % 8 == 1 for p in nt.factor(n * n + 1).primes() if p != 2)
+        in_sprime = any(
+            all(p % 4 != 3 for p in nt.factor(x).primes()) for x in (n - 1, n + 1)
+        )
+        assert nt.in_S(n) == in_s, n
+        assert nt.in_Sprime(n) == in_sprime, n
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         nt.in_S(0)
