@@ -13,13 +13,11 @@ __version__ = "0.1.0"
 
 from .goeritz import (
     CheckerboardGraph,
-    builtin_diagrams,
     det_h1_order,
     family_2odd_2odd,
     fig3_black_graph,
     goeritz_matrix,
     l35_white_graph,
-    parse_graph_text,
 )
 from .lattice import (
     Changemaker,
@@ -29,7 +27,6 @@ from .lattice import (
     changemaker_obstruction,
     embed_in_complement,
     enumerate_changemakers,
-    genus_from_changemaker,
     is_changemaker,
     iter_embeddings,
     parse_gram_text,
@@ -44,14 +41,11 @@ from .manifolds import (
     em_slope,
     em_splice_form,
     em_su2_cyclic,
-    h1_order,
     integral_obstruction,
-    linking_self,
     nonintegral_classification,
     not_surgery_verdict,
     slope_distance,
     torus_knot_surgery,
-    twisted_torus_braid,
 )
 from .numtheory import (
     Factorization,
@@ -88,7 +82,6 @@ __all__ = [
     "ResidueSet",
     "Splice",
     "TorusKnot",
-    "builtin_diagrams",
     "cable_su2_cyclic_slopes",
     "census_2odd",
     "changemaker_max_norm",
@@ -104,9 +97,7 @@ __all__ = [
     "factor",
     "family_2odd_2odd",
     "fig3_black_graph",
-    "genus_from_changemaker",
     "goeritz_matrix",
-    "h1_order",
     "in_S",
     "in_Sprime",
     "integral_obstruction",
@@ -117,16 +108,13 @@ __all__ = [
     "iter_embeddings",
     "l35_white_graph",
     "legendre",
-    "linking_self",
     "nonintegral_classification",
     "not_surgery_verdict",
     "parse_gram_text",
-    "parse_graph_text",
     "product_bound",
     "slope_distance",
     "small_sfs_su2_abelian",
     "square_root_mod",
     "torus_knot_surgery",
-    "twisted_torus_braid",
     "x1_singular_orders",
 ]

@@ -67,10 +67,6 @@ class CheckerboardGraph:
     def degree(self, v: int) -> int:
         return sum((u == v) + (w == v) for u, w in self.edges)
 
-    def multiplicity(self, u: int, v: int) -> int:
-        e = tuple(sorted((u, v)))
-        return sum(1 for f in self.edges if f == e)
-
 
 def goeritz_matrix(graph: CheckerboardGraph, basepoint: int = 0) -> GramMatrix:
     """Goeritz matrix over the non-basepoint vertices: diagonal -deg(v_i),
@@ -96,23 +92,6 @@ def det_h1_order(gram: GramMatrix) -> int:
     if d == 0:
         raise ValueError("matrix is singular")
     return d
-
-
-def family_2odd_2odd(a: int, b: int) -> GramMatrix:
-    """The 5x5 black-graph Goeritz matrix for the alternating link whose
-    branched double cover splices the (2,2a+1) and (2,2b+1) torus knot
-    exteriors; |det| = 4(2a+1)(2b+1) - 1."""
-    if a < 1 or b < 1:
-        raise ValueError("need a, b >= 1")
-    return GramMatrix.from_rows(
-        [
-            [-3, 1, 0, 1, 0],
-            [1, -3, 1, 0, 0],
-            [0, 1, -b - 1, b, 0],
-            [1, 0, b, -b - 2, 1],
-            [0, 0, 0, 1, -a - 1],
-        ]
-    )
 
 
 def l35_white_graph() -> CheckerboardGraph:
@@ -175,71 +154,8 @@ def fig3_black_graph(a0: int, a1: int, b0: int, b1: int) -> CheckerboardGraph:
     return CheckerboardGraph(nv, tuple(edges))
 
 
-class BuiltinDiagrams:
-    """Name-indexed access to the builtin checkerboard graphs.
-
-    Concrete names are ``L35-white`` and ``fig3-black(a0,a1,b0,b1)`` with
-    integer parameters, e.g. ``fig3-black(1,2,1,2)``.
-    """
-
-    _TEMPLATE = "fig3-black(a0,a1,b0,b1)"
-
-    def names(self) -> tuple[str, ...]:
-        return ("L35-white", self._TEMPLATE)
-
-    def __contains__(self, name: str) -> bool:
-        try:
-            self[name]
-        except KeyError:
-            return False
-        return True
-
-    def __getitem__(self, name: str) -> CheckerboardGraph:
-        if name == "L35-white":
-            return l35_white_graph()
-        if name.startswith("fig3-black(") and name.endswith(")"):
-            body = name[len("fig3-black(") : -1]
-            parts = body.split(",")
-            if len(parts) == 4:
-                try:
-                    a0, a1, b0, b1 = (int(s.strip()) for s in parts)
-                except ValueError:
-                    raise KeyError(name) from None
-                try:
-                    return fig3_black_graph(a0, a1, b0, b1)
-                except ValueError as exc:
-                    raise KeyError(f"{name}: {exc}") from None
-        raise KeyError(name)
-
-
-def builtin_diagrams() -> BuiltinDiagrams:
-    return BuiltinDiagrams()
-
-
-def parse_graph_text(text: str) -> CheckerboardGraph:
-    """Parse the graph text format: first line the vertex count, then one
-    'u v' pair per edge (multiplicity by repetition); '#' starts a comment."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise ValueError("empty graph file")
-    try:
-        nv = int(lines[0])
-    except ValueError:
-        raise ValueError(f"first line must be the vertex count, got {lines[0]!r}") from None
-    edges = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != 2:
-            raise ValueError(f"expected 'u v' edge line, got {ln!r}")
-        edges.append((int(toks[0]), int(toks[1])))
-    return CheckerboardGraph(nv, tuple(edges))
-
-
-def format_graph_text(graph: CheckerboardGraph) -> str:
-    lines = [str(graph.vertex_count)]
-    lines += [f"{u} {v}" for u, v in graph.edges]
-    return "\n".join(lines) + "\n"
+def family_2odd_2odd(a: int, b: int) -> GramMatrix:
+    """The 5x5 Goeritz form fig3-black(a,2,b,2), whose branched double cover
+    splices the (2,2a+1) and (2,2b+1) torus knot exteriors;
+    |det| = 4(2a+1)(2b+1) - 1."""
+    return goeritz_matrix(fig3_black_graph(a, 2, b, 2))

@@ -105,9 +105,6 @@ class GramMatrix:
                 return False
         return True
 
-    def negated_rows(self) -> list[list[int]]:
-        return [[-x for x in row] for row in self.entries]
-
 
 def is_changemaker(entries) -> bool:
     """True iff entries are nonnegative, nondecreasing and each entry is at
@@ -130,10 +127,6 @@ class Changemaker:
         if not is_changemaker(self.entries):
             raise ValueError(f"{self.entries} is not a changemaker")
 
-    @staticmethod
-    def of(*entries: int) -> "Changemaker":
-        return Changemaker(tuple(entries))
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -148,11 +141,6 @@ class Changemaker:
     def genus(self) -> int:
         """(norm - l1) / 2; an integer since v^2 = v mod 2."""
         return (self.norm - self.l1) // 2
-
-
-def genus_from_changemaker(sigma: Changemaker) -> int:
-    """Genus of any knot whose surgery produces the associated lattice data."""
-    return sigma.genus()
 
 
 def changemaker_max_norm(length: int) -> int:
@@ -250,8 +238,6 @@ def iter_embeddings(gram: GramMatrix, sigma: Changemaker) -> Iterator[Embedding]
     sigma entry down; candidate values run from high to low, so the first
     embedding produced is canonical and deterministic.
     """
-    if isinstance(sigma, tuple):
-        sigma = Changemaker(sigma)
     n = gram.rank
     d = n + 1
     if len(sigma) != d:
@@ -424,9 +410,3 @@ def parse_gram_text(text: str) -> GramMatrix:
             raise ValueError(f"expected {n} entries per row, got {len(row)}")
         rows.append(row)
     return GramMatrix.from_rows(rows)
-
-
-def format_gram_text(gram: GramMatrix) -> str:
-    lines = [str(gram.rank)]
-    lines += [" ".join(str(x) for x in row) for row in gram.entries]
-    return "\n".join(lines) + "\n"

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import logging
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -67,10 +68,6 @@ class TorusKnot:
                 p, q = -p, -q
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    @staticmethod
-    def of(p: int, q: int) -> "TorusKnot":
-        return TorusKnot(p, q)
 
     @property
     def is_trivial(self) -> bool:
@@ -145,15 +142,6 @@ class Splice:
 
     def __str__(self) -> str:
         return f"splice({self.first},{self.second})"
-
-
-def h1_order(y: Splice) -> int:
-    """|abcd - 1|, the order of the (cyclic) first homology of the splice."""
-    return y.h1_order()
-
-
-def linking_self(y: Splice) -> tuple[Fraction, Fraction]:
-    return y.linking_self()
 
 
 def slope_distance(r1: Fraction, r2: Fraction) -> int:
@@ -276,39 +264,6 @@ def em_splice_form(k: EMKnot) -> Splice | None:
     return Splice.of(pairs[0][0], pairs[0][1], pairs[1][0], pairs[1][1])
 
 
-@dataclass(frozen=True)
-class TwistedTorusBraid:
-    """The positive braid whose closure is the twisted torus knot
-    T(6q+4, 6q^2+6q+1, 2q+2, 2)."""
-
-    q: int
-    strands: int
-    twisted_torus_params: tuple[int, int, int, int]
-
-    @property
-    def word_length(self) -> int:
-        q = self.q
-        return (6 * q + 3) * (6 * q * q + 6 * q + 1) + 2 * (2 * q + 1)
-
-    def word(self) -> list[int]:
-        """Generator indices: the descending run (6q+3 .. 1) repeated
-        6q^2+6q+1 times, then the run (2q+1 .. 1) twice."""
-        q = self.q
-        run1 = list(range(6 * q + 3, 0, -1))
-        run2 = list(range(2 * q + 1, 0, -1))
-        return run1 * (6 * q * q + 6 * q + 1) + run2 * 2
-
-
-def twisted_torus_braid(q: int) -> TwistedTorusBraid:
-    if q < 1:
-        raise ValueError(f"need q >= 1, got {q}")
-    return TwistedTorusBraid(
-        q=q,
-        strands=6 * q + 4,
-        twisted_torus_params=(6 * q + 4, 6 * q * q + 6 * q + 1, 2 * q + 2, 2),
-    )
-
-
 # ---------------------------------------------------------------------------
 # non-integral classification
 
@@ -376,9 +331,6 @@ class Lens:
 
     def h1_order(self) -> int:
         return abs(self.p)
-
-    def reduced(self) -> "Lens":
-        return Lens(self.p, self.q % self.p)
 
     def __str__(self) -> str:
         if self.p == 2:
@@ -693,9 +645,12 @@ def census_2odd(max_product: int = 341, jobs: int = 1) -> list[CensusRow]:
     torus knot exteriors with 1 <= a <= b and (2a+1)(2b+1) <= max_product,
     at surgery slope -|H_1| = -(4(2a+1)(2b+1) - 1).
 
-    Rows are sorted by (a, b); with jobs > 1 rows are evaluated in parallel
-    and merged back in order, so the output is schedule-independent.
+    Rows are sorted by (a, b); with jobs > 1 rows are evaluated in parallel,
+    by at most one worker process per CPU, and merged back in order, so the
+    output is schedule-independent.
     """
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     pairs = []
     a = 1
     while (2 * a + 1) * (2 * a + 1) <= max_product:
@@ -704,7 +659,8 @@ def census_2odd(max_product: int = 341, jobs: int = 1) -> list[CensusRow]:
             pairs.append((a, b))
             b += 1
         a += 1
-    if jobs > 1 and len(pairs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(pairs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_census_row, pairs))
     return [_census_row(pair) for pair in pairs]

@@ -47,7 +47,7 @@ def _check_width(n: int, what: str = "argument") -> None:
 
 
 @lru_cache(maxsize=None)
-def _sieve_primes(limit: int = 10**4) -> tuple[int, ...]:
+def _sieve_primes(limit: int = _TRIAL_LIMIT) -> tuple[int, ...]:
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for p in range(2, isqrt(limit) + 1):
@@ -64,7 +64,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for 64-bit integers."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -155,7 +155,7 @@ def factor(n: int) -> Factorization:
     found: dict[int, int] = {}
     m = n
     for p in _sieve_primes():
-        if p > _TRIAL_LIMIT or p * p > m:
+        if p * p > m:
             break
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
@@ -333,32 +333,30 @@ def chi_8m(a: int, m: int, cap: int = DEFAULT_PRIME_SEARCH_CAP) -> int:
     return _chi_8m_cached(a, m, cap)
 
 
-def _no_prime_divisor_in_class(d: int, residue: int, modulus: int) -> bool:
-    """True iff no prime divisor of d >= 1 is congruent to residue mod modulus.
+def _odd_divisors_one_mod(d: int, modulus: int) -> bool:
+    """True iff every odd prime divisor of d >= 1 is 1 mod modulus.
 
-    Early-exits as soon as a bad prime turns up, without insisting on a full
-    factorization of what remains.
+    Early-exits on the first bad prime.  A product of integers that are
+    1 mod modulus is itself 1 mod modulus, so a cofactor in any other class
+    must contain a bad prime, and we can stop there without splitting it.
     """
     while d % 2 == 0:
-        d //= 2  # 2 is neither 3 mod 4 nor 5 mod 8, the only classes used
-    for p in _sieve_primes():
-        if p == 2:
-            continue
-        if p > _TRIAL_LIMIT or p * p > d:
+        d //= 2
+    for p in _sieve_primes():  # 2 no longer divides d
+        if p * p > d:
             break
         if d % p == 0:
-            if p % modulus == residue:
+            if p % modulus != 1:
                 return False
             while d % p == 0:
                 d //= p
     stack = [d] if d > 1 else []
     while stack:
         c = stack.pop()
-        if is_prime(c) or c <= _TRIAL_LIMIT * _TRIAL_LIMIT:
-            # anything left has no factor below _TRIAL_LIMIT, so c is prime
-            if c % modulus == residue:
-                return False
-            continue
+        if c % modulus != 1:
+            return False
+        if c <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
+            continue  # no factor below _TRIAL_LIMIT remains, so c is prime
         f = _pollard_rho(c)
         stack.append(f)
         stack.append(c // f)
@@ -374,33 +372,7 @@ def in_S(n: int) -> bool:
         raise ValueError(f"need n >= 1, got {n}")
     if n > isqrt(MAX_INPUT - 1):
         raise OverflowError(f"n^2 + 1 exceeds the supported range for n = {n}")
-    m = n * n + 1
-    if m % 2 == 0:
-        m //= 2  # n odd gives n^2 + 1 = 2 mod 4, a single factor of 2
-    # Odd prime divisors of n^2 + 1 are all 1 mod 4, so membership fails
-    # exactly when some divisor is 5 mod 8.  A cofactor of 1-mod-4 primes
-    # that is itself 5 mod 8 must contain one, so we can stop early there.
-    for p in _sieve_primes():
-        if p > _TRIAL_LIMIT or p * p > m:
-            break
-        if p % 4 == 1 and m % p == 0:
-            if p % 8 == 5:
-                return False
-            while m % p == 0:
-                m //= p
-    stack = [m] if m > 1 else []
-    while stack:
-        c = stack.pop()
-        if c % 8 == 5:
-            return False  # some prime divisor of c must itself be 5 mod 8
-        if is_prime(c) or c <= _TRIAL_LIMIT * _TRIAL_LIMIT:
-            if c % 8 != 1:
-                return False
-            continue
-        f = _pollard_rho(c)
-        stack.append(f)
-        stack.append(c // f)
-    return True
+    return _odd_divisors_one_mod(n * n + 1, 8)
 
 
 def in_Sprime(n: int) -> bool:
@@ -411,9 +383,7 @@ def in_Sprime(n: int) -> bool:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     _check_width(n + 1)
-    return _no_prime_divisor_in_class(n - 1, 3, 4) or _no_prime_divisor_in_class(
-        n + 1, 3, 4
-    )
+    return _odd_divisors_one_mod(n - 1, 4) or _odd_divisors_one_mod(n + 1, 4)
 
 
 @lru_cache(maxsize=None)

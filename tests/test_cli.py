@@ -76,6 +76,13 @@ def test_census_jobs_deterministic():
     assert ra["result"]["rows"] == rb["result"]["rows"]
 
 
+def test_census_bad_jobs_exit_2(capsys):
+    from obstruct import cli
+
+    assert cli.main(["census-2odd", "--max-product", "45", "--jobs", "0"]) == 2
+    assert "jobs" in capsys.readouterr().err
+
+
 def test_changemaker_enum():
     rep = report_of(run_cli("changemaker", "enum", "--len", "2", "--norm", "2"))
     assert rep["result"]["changemakers"] == [[1, 1]]

@@ -48,6 +48,7 @@ def test_det_h1_order():
 
 
 def test_family_matrix_entries():
+    # literal matrices: these pin the transcription of fig3_black_graph
     assert go.family_2odd_2odd(1, 1).entries == (
         (-3, 1, 0, 1, 0),
         (1, -3, 1, 0, 0),
@@ -69,14 +70,15 @@ def test_family_matrix_entries():
 def test_determinants_match_splice_homology():
     # the Goeritz determinant presents H1 of the branched double cover,
     # which is the corresponding splice
-    from obstruct.manifolds import Splice, h1_order
+    from obstruct.manifolds import Splice
 
     m = go.goeritz_matrix(go.l35_white_graph())
-    assert go.det_h1_order(m) == h1_order(Splice.of(3, 5, -3, 5)) == 226
+    assert go.det_h1_order(m) == Splice.of(3, 5, -3, 5).h1_order() == 226
     for a in range(1, 8):
         for b in range(1, 8):
-            assert go.det_h1_order(go.family_2odd_2odd(a, b)) == h1_order(
-                Splice.of(2, 2 * a + 1, 2, 2 * b + 1)
+            assert (
+                go.det_h1_order(go.family_2odd_2odd(a, b))
+                == Splice.of(2, 2 * a + 1, 2, 2 * b + 1).h1_order()
             )
 
 
@@ -117,21 +119,6 @@ def test_fig3_black_parameter_validation():
         go.fig3_black_graph(1, 1, 1, 2)
 
 
-def test_builtin_diagrams_lookup():
-    builtins = go.builtin_diagrams()
-    assert "L35-white" in builtins
-    assert builtins["L35-white"] == go.l35_white_graph()
-    assert builtins["fig3-black(1,2,1,2)"].vertex_count == 6
-    assert go.goeritz_matrix(builtins["fig3-black(1,2,1,2)"]) == go.family_2odd_2odd(
-        1, 1
-    )
-    assert "L35-white" in builtins.names()
-    for bad in ("nope", "fig3-black(1,2)", "fig3-black(x,2,1,2)", "fig3-black(0,2,1,2)"):
-        with pytest.raises(KeyError):
-            builtins[bad]
-        assert bad not in builtins
-
-
 def connected_multigraph(rng, nv, extra):
     """Random spanning tree plus `extra` random non-loop edges."""
     edges = []
@@ -161,19 +148,3 @@ def test_goeritz_basepoint_validation():
     g = go.l35_white_graph()
     with pytest.raises(ValueError):
         go.goeritz_matrix(g, basepoint=7)
-
-
-def test_graph_text_roundtrip():
-    g = go.l35_white_graph()
-    assert go.parse_graph_text(go.format_graph_text(g)) == g
-    text = "# white graph\n3\n0 1\n1 2\n\n2 0\n"
-    assert go.parse_graph_text(text).vertex_count == 3
-
-
-def test_graph_text_errors():
-    with pytest.raises(ValueError):
-        go.parse_graph_text("")
-    with pytest.raises(ValueError):
-        go.parse_graph_text("a\n0 1")
-    with pytest.raises(ValueError):
-        go.parse_graph_text("2\n0 1 2\n")

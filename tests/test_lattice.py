@@ -160,9 +160,9 @@ def test_max_norm_bound_attained():
 
 
 def test_genus_examples():
-    assert la.genus_from_changemaker(SIGMA_226) == 97
-    assert la.genus_from_changemaker(la.Changemaker((0, 0, 1))) == 0
-    assert la.genus_from_changemaker(la.Changemaker((1, 1))) == 0
+    assert SIGMA_226.genus() == 97
+    assert la.Changemaker((0, 0, 1)).genus() == 0
+    assert la.Changemaker((1, 1)).genus() == 0
 
 
 def test_genus_is_nonnegative_integer():
@@ -227,7 +227,7 @@ def naive_embedding_exists(gram, sigma):
     oracle for the symmetry-reduced search."""
     n = gram.rank
     d = n + 1
-    gp = gram.negated_rows()
+    gp = [[-x for x in row] for row in gram.entries]
     sig = sigma.entries
 
     def candidates(t):
@@ -336,11 +336,6 @@ def test_complement_forms_always_embed():
 
 # ---------------------------------------------------------------------------
 # Gram text format
-
-
-def test_gram_text_roundtrip():
-    text = la.format_gram_text(GD)
-    assert la.parse_gram_text(text) == GD
 
 
 def test_gram_text_comments_and_blanks():

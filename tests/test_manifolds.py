@@ -37,9 +37,9 @@ def test_torus_knot_product_invariant():
 
 
 def test_h1_order_examples():
-    assert mf.h1_order(mf.Splice.of(2, 3, 2, -3)) == 37
-    assert mf.h1_order(mf.Splice.of(2, 3, 2, 3)) == 35
-    assert mf.h1_order(mf.Splice.of(3, 5, -3, 5)) == 226
+    assert mf.Splice.of(2, 3, 2, -3).h1_order() == 37
+    assert mf.Splice.of(2, 3, 2, 3).h1_order() == 35
+    assert mf.Splice.of(3, 5, -3, 5).h1_order() == 226
 
 
 def test_splice_requires_nontrivial_factors():
@@ -50,12 +50,12 @@ def test_splice_requires_nontrivial_factors():
 
 
 def test_linking_self_values():
-    assert mf.linking_self(mf.Splice.of(2, 3, 2, 5)) == (
+    assert mf.Splice.of(2, 3, 2, 5).linking_self() == (
         Fraction(49, 59),
         Fraction(53, 59),
     )
     # abcd - 1 = -37 here, so -cd/(abcd-1) = 6/-37 = 31/37 mod 1
-    assert mf.linking_self(mf.Splice.of(2, 3, 2, -3)) == (
+    assert mf.Splice.of(2, 3, 2, -3).linking_self() == (
         Fraction(31, 37),
         Fraction(6, 37),
     )
@@ -63,13 +63,13 @@ def test_linking_self_values():
 
 def test_linking_self_swap_symmetry():
     y = mf.Splice.of(2, 3, 3, 5)
-    a, b = mf.linking_self(y)
-    assert mf.linking_self(y.swapped()) == (b, a)
+    a, b = y.linking_self()
+    assert y.swapped().linking_self() == (b, a)
 
 
 def test_linking_values_in_unit_interval():
     y = mf.Splice.of(3, 4, -3, 4)
-    for v in mf.linking_self(y):
+    for v in y.linking_self():
         assert 0 <= v < 1
 
 
@@ -82,7 +82,7 @@ def test_linking_self_square_factor_identity():
         mf.Splice.of(3, 5, -3, 5),
         mf.Splice.of(3, 4, 5, 2),
     ):
-        lk_ab, lk_cd = mf.linking_self(y)
+        lk_ab, lk_cd = y.linking_self()
         ab = y.first.product
         assert (ab * ab * lk_ab) % 1 == lk_cd
 
@@ -210,29 +210,9 @@ def test_em_splice_form_h1_consistency():
             continue  # degenerate parameters give a trivial factor
         if y is None:
             continue
-        assert abs(2 * mf.em_slope(k)) == mf.h1_order(y), k
+        assert abs(2 * mf.em_slope(k)) == y.h1_order(), k
         checked += 1
     assert checked > 100
-
-
-def test_twisted_torus_braid():
-    b = mf.twisted_torus_braid(1)
-    assert b.strands == 10
-    assert b.word_length == 9 * 13 + 6 == 123
-    word = b.word()
-    assert len(word) == 123
-    assert word[:9] == list(range(9, 0, -1))
-    assert word[-6:] == [3, 2, 1, 3, 2, 1]
-    assert b.twisted_torus_params == (10, 13, 4, 2)
-    with pytest.raises(ValueError):
-        mf.twisted_torus_braid(0)
-
-
-def test_twisted_torus_braid_length_formula():
-    for q in (1, 2, 3, 5):
-        b = mf.twisted_torus_braid(q)
-        assert b.word_length == (6 * q + 3) * (6 * q * q + 6 * q + 1) + 2 * (2 * q + 1)
-        assert b.strands == 6 * q + 4
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +236,7 @@ def test_nonintegral_recovers_em_family():
             assert match is not None, (l, m)
             rebuilt = mf.em_splice_form(match.em_knot)
             assert rebuilt.is_equivalent(y), (l, m, match)
-            assert abs(2 * match.em_slope) == mf.h1_order(y)
+            assert abs(2 * match.em_slope) == y.h1_order()
 
 
 def test_nonintegral_accepts_mirrors_and_swaps():
@@ -463,3 +443,38 @@ def test_census_rows_sorted_and_jobs_agree():
     assert [(r.a, r.b) for r in rows1] == sorted((r.a, r.b) for r in rows1)
     rows2 = mf.census_2odd(60, jobs=2)
     assert rows1 == rows2
+
+
+def test_census_jobs_clamped_to_cpus_and_rows(monkeypatch):
+    created = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mf.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mf.os, "cpu_count", lambda: 3)
+    rows = mf.census_2odd(60, jobs=100_000)  # 14 pairs
+    assert created == [3]
+    assert rows == mf.census_2odd(60)
+    assert mf.census_2odd(9, jobs=8) == mf.census_2odd(9)  # one pair: no pool
+    monkeypatch.setattr(mf.os, "cpu_count", lambda: None)
+    mf.census_2odd(60, jobs=4)
+    assert created == [3]
+
+
+def test_census_rejects_nonpositive_jobs():
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            mf.census_2odd(60, jobs=jobs)
