@@ -19,8 +19,9 @@ floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
-from typing import Iterator
+from functools import lru_cache
+from math import comb, isqrt, lcm
+from typing import Iterator, NamedTuple
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -99,11 +100,30 @@ class GramMatrix:
 
     def is_negative_definite(self) -> bool:
         """(-1)^k times the k-th leading principal minor is positive for all k."""
-        for k in range(1, self.rank + 1):
-            minor = det_int([list(row[:k]) for row in self.entries[:k]])
-            if minor * (-1) ** k <= 0:
-                return False
-        return True
+        return _positive_elimination(self) is not None
+
+
+def _positive_elimination(gram: GramMatrix) -> list[list[int]] | None:
+    """Bareiss elimination of -G without pivoting, or None if -G is not
+    positive definite.
+
+    Row k of the result holds, for j >= k, the minor of -G on rows 0..k and
+    columns 0..k-1, j; so entry (k, k) is the (k+1)-th leading principal
+    minor, and by Sylvester's criterion -G is positive definite exactly when
+    each of these pivots is positive.
+    """
+    a = [[-x for x in row] for row in gram.entries]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        piv = a[k][k]
+        if piv <= 0:
+            return None
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
+        prev = piv
+    return a
 
 
 def is_changemaker(entries) -> bool:
@@ -152,15 +172,6 @@ def changemaker_max_norm(length: int) -> int:
     return (4**length - 1) // 3
 
 
-def _max_norm_from(prefix_sum: int, slots: int) -> int:
-    total = 0
-    t = prefix_sum + 1
-    for _ in range(slots):
-        total += t * t
-        t += t
-    return total
-
-
 def enumerate_changemakers(length: int, norm: int) -> list[Changemaker]:
     """All changemakers of the given length with squared norm exactly `norm`,
     in lexicographic order.  Empty when norm exceeds the doubling bound."""
@@ -170,22 +181,24 @@ def enumerate_changemakers(length: int, norm: int) -> list[Changemaker]:
     sig = [0] * length
 
     def rec(i: int, prefix_sum: int, rem: int) -> None:
-        if i == length:
-            if rem == 0:
+        lo = sig[i - 1] if i else 0
+        if i == length - 1:
+            # the last entry must absorb the whole remaining norm
+            v = isqrt(rem)
+            if v * v == rem and lo <= v <= prefix_sum + 1:
+                sig[i] = v
                 out.append(Changemaker(tuple(sig)))
             return
-        slots = length - i
-        lo = sig[i - 1] if i else 0
-        hi = min(prefix_sum + 1, isqrt(rem))
-        for v in range(lo, hi + 1):
+        slots = length - i - 1  # entries after this one
+        doubling = changemaker_max_norm(slots)
+        for v in range(lo, min(prefix_sum + 1, isqrt(rem)) + 1):
             nrem = rem - v * v
-            if nrem < (slots - 1) * v * v:
-                continue  # remaining entries are all >= v
-            if nrem > _max_norm_from(prefix_sum + v, slots - 1):
+            if nrem < slots * v * v:
+                break  # later entries are all >= v; worse for every larger v
+            if nrem > (prefix_sum + v + 1) ** 2 * doubling:
                 continue  # even doubling growth cannot reach the norm
             sig[i] = v
             rec(i + 1, prefix_sum + v, nrem)
-        sig[i] = 0
 
     rec(0, 0, norm)
     return out
@@ -227,28 +240,115 @@ class Embedding:
         return matrix_rank(rows) == len(s)
 
 
+class _SearchFacts(NamedTuple):
+    """What the embedding search needs to know about a negative-definite
+    Gram matrix G, computed once per matrix."""
+
+    positive: tuple[tuple[int, ...], ...]  # the positive-definite form -G
+    order: tuple[int, ...]  # fill order: by diagonal entry, then by index
+    det: int  # |det G|
+    short: tuple[int, int]  # numbers of vectors of norm 1 and of norm 2
+
+
+@lru_cache(maxsize=64)
+def _search_facts(gram: GramMatrix) -> _SearchFacts:
+    """The facts about `gram`; ValueError unless it is negative definite."""
+    u = _positive_elimination(gram)
+    if u is None:
+        raise ValueError("Gram matrix must be negative definite")
+    n = gram.rank
+    gp = tuple(tuple(-x for x in row) for row in gram.entries)
+    # With minors M_0 = 1, M_(k+1) = u[k][k], the form is
+    #   Q(x) = sum_k (sum_(j>=k) u[k][j] x_j)^2 / (M_k M_(k+1)).
+    # Scaling by the lcm of the denominators keeps Fincke-Pohst in integers.
+    minors = [1] + [u[k][k] for k in range(n)]
+    scale = lcm(*(minors[k] * minors[k + 1] for k in range(n)))
+    weight = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
+    top = 2 * scale  # enumerate every x with Q(x) <= 2
+    counts = [0, 0, 0]
+    x = [0] * n
+
+    def rec(k: int, rem: int) -> None:
+        if k < 0:
+            counts[(top - rem) // scale] += 1
+            return
+        row = u[k]
+        c = sum(row[j] * x[j] for j in range(k + 1, n))
+        m = minors[k + 1]
+        t = isqrt(rem // weight[k])  # |m x_k + c| <= t
+        for v in range(-((t + c) // m), (t - c) // m + 1):
+            y = m * v + c
+            x[k] = v
+            rec(k - 1, rem - weight[k] * y * y)
+        x[k] = 0
+
+    rec(n - 1, top)
+    return _SearchFacts(
+        positive=gp,
+        order=tuple(sorted(range(n), key=lambda i: (gp[i][i], i))),
+        det=minors[n],
+        short=(counts[1], counts[2]),
+    )
+
+
+def _complement_short_counts(entries: tuple[int, ...]) -> tuple[int, int]:
+    """Numbers of vectors of norm 1 and of norm 2 orthogonal to sigma in Z^d.
+
+    Norm 1: +-e_i with sigma_i = 0.  Norm 2: +-e_i +-e_j with
+    sigma_i = sigma_j = 0, and +-(e_i - e_j) with sigma_i = sigma_j != 0.
+    """
+    mult: dict[int, int] = {}
+    for v in entries:
+        mult[v] = mult.get(v, 0) + 1
+    zeros = mult.pop(0, 0)
+    return 2 * zeros, 4 * comb(zeros, 2) + sum(2 * comb(m, 2) for m in mult.values())
+
+
+def _counts_admit(facts: _SearchFacts, sigma: Changemaker) -> bool:
+    """Necessary condition for L = (Z^n, -G) to embed in sigma's complement.
+
+    An embedding preserves norms and is injective, and its image has finite
+    index k in the complement, whose determinant is |sigma|^2 (a changemaker
+    contains a 1, so it is primitive).  Hence |det G| = k^2 |sigma|^2, L has
+    at most as many vectors of norm 1 and of norm 2 as the complement, and
+    exactly as many when k = 1, since then L is isometric to the complement.
+    """
+    k2, r = divmod(facts.det, sigma.norm)
+    if r or isqrt(k2) ** 2 != k2:
+        return False
+    have = _complement_short_counts(sigma.entries)
+    if k2 == 1:
+        return facts.short == have
+    return all(a <= b for a, b in zip(facts.short, have))
+
+
 def iter_embeddings(gram: GramMatrix, sigma: Changemaker) -> Iterator[Embedding]:
     """All embeddings of `gram` into the complement of `sigma`, up to the
     lattice automorphisms fixing sigma (coordinate permutations within blocks
     of equal sigma entries, and sign flips on coordinates where sigma is 0).
 
     The search is complete backtracking: exhausting the iterator without a
-    result proves that no embedding exists.  Vectors are filled in increasing
-    order of the Gram diagonal; coordinates are processed from the largest
-    sigma entry down; candidate values run from high to low, so the first
-    embedding produced is canonical and deterministic.
+    result proves that no embedding exists.  Before it starts, sigma is
+    rejected when |det G| is not a square times |sigma|^2 or when the counts
+    of norm-1 and norm-2 vectors of the two lattices rule an embedding out
+    (see ``_counts_admit``); each such rejection is itself a proof.  Vectors
+    are filled in increasing order of the Gram diagonal; coordinates are
+    processed from the largest sigma entry down; candidate values run from
+    high to low, so the first embedding produced is canonical and
+    deterministic.
     """
     n = gram.rank
     d = n + 1
     if len(sigma) != d:
         raise ValueError(f"sigma must have length {d}, got {len(sigma)}")
-    if not gram.is_negative_definite():
-        raise ValueError("Gram matrix must be negative definite")
+    facts = _search_facts(gram)
     if sigma.norm == 0:
         return  # the zero vector spans nothing; full rank is impossible
+    if not _counts_admit(facts, sigma):
+        return
 
-    gp = [[-x for x in row] for row in gram.entries]
-    order = sorted(range(n), key=lambda i: (gp[i][i], i))
+    gp = facts.positive
+    order = facts.order
     coords = list(range(d - 1, -1, -1))  # largest sigma entries first
     sig = [sigma.entries[c] for c in coords]
     suf_sig2 = [0] * (d + 1)
@@ -368,8 +468,9 @@ def changemaker_obstruction(
     order), or all of them with ``all_witnesses`` (one embedding per
     admitting changemaker; used for uniqueness checks).
     """
-    if not gram.is_negative_definite():
-        raise ValueError("Gram matrix must be negative definite")
+    _search_facts(gram)  # ValueError unless gram is negative definite
+    if p < 1:
+        raise ValueError(f"norm p must be positive, got {p}")
     found = []
     for sigma in enumerate_changemakers(gram.rank + 1, p):
         emb = embed_in_complement(gram, sigma)

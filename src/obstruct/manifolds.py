@@ -649,6 +649,8 @@ def census_2odd(max_product: int = 341, jobs: int = 1) -> list[CensusRow]:
     by at most one worker process per CPU, and merged back in order, so the
     output is schedule-independent.
     """
+    if max_product < 1:
+        raise ValueError(f"need max_product >= 1, got {max_product}")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     pairs = []

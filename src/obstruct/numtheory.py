@@ -304,7 +304,7 @@ def is_square_mod(a: int, n: int) -> bool:
     return square_root_mod(a, n) is not None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _chi_8m_cached(a: int, m: int, cap: int) -> int:
     mod = 8 * m
     p = a

@@ -83,6 +83,14 @@ def test_census_bad_jobs_exit_2(capsys):
     assert "jobs" in capsys.readouterr().err
 
 
+def test_census_bad_max_product_exit_2(capsys):
+    from obstruct import cli
+
+    for bound in ("0", "-5"):
+        assert cli.main(["census-2odd", "--max-product", bound]) == 2
+        assert "max_product" in capsys.readouterr().err
+
+
 def test_changemaker_enum():
     rep = report_of(run_cli("changemaker", "enum", "--len", "2", "--norm", "2"))
     assert rep["result"]["changemakers"] == [[1, 1]]
@@ -115,6 +123,17 @@ def test_changemaker_embed_bad_matrix(tmp_path):
     assert proc.returncode == 2
     proc = run_cli("changemaker", "embed", "--gram", str(tmp_path / "nope.txt"), "--p", "5")
     assert proc.returncode == 2
+
+
+def test_changemaker_embed_bad_p_exit_2(tmp_path, capsys):
+    from obstruct import cli
+
+    gram = tmp_path / "fam22.txt"
+    gram.write_text("5\n-3 1 0 1 0\n1 -3 1 0 0\n0 1 -3 2 0\n1 0 2 -4 1\n0 0 0 1 -3\n")
+    for p in ("0", "-99"):
+        assert cli.main(["changemaker", "embed", "--gram", str(gram), "--p", p]) == 2
+        err = capsys.readouterr().err
+        assert "norm p must be positive" in err and "length" not in err
 
 
 def test_em_report():

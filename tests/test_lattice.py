@@ -130,7 +130,7 @@ def brute_force_changemakers(length, norm):
 
 
 def test_enumeration_matches_brute_force():
-    for length in range(1, 5):
+    for length in range(1, 7):
         for norm in range(1, 51):
             got = [c.entries for c in la.enumerate_changemakers(length, norm)]
             assert got == brute_force_changemakers(length, norm), (length, norm)
@@ -209,6 +209,12 @@ def test_obstruction_results():
 def test_obstruction_rejects_indefinite():
     with pytest.raises(ValueError):
         la.changemaker_obstruction(la.GramMatrix.from_rows([[1]]), 5)
+
+
+def test_obstruction_rejects_nonpositive_norm():
+    for p in (0, -226):
+        with pytest.raises(ValueError, match="norm p must be positive"):
+            la.changemaker_obstruction(GD, p)
 
 
 def test_embed_length_mismatch():
@@ -315,11 +321,20 @@ def complement_gram(rng, sigma):
     )
 
 
+def doubled(gram, i):
+    """The Gram matrix of the index-2 sublattice with basis vector i doubled."""
+    c = [2 if k == i else 1 for k in range(gram.rank)]
+    return la.GramMatrix.from_rows(
+        [[c[r] * c[k] * x for k, x in enumerate(row)] for r, row in enumerate(gram.entries)]
+    )
+
+
 def test_complement_forms_always_embed():
-    """Known positives: sigma's own complement must embed at norm |sigma|^2."""
+    """Known positives: sigma's own complement, and an index-2 sublattice of
+    it (|det| = 4 |sigma|^2), must embed at norm |sigma|^2."""
     rng = random.Random(5)
     checked = 0
-    while checked < 200:
+    while checked < 260:
         length = rng.randint(3, 6)
         norm = rng.randint(1, 49)
         sigmas = la.enumerate_changemakers(length, norm)
@@ -327,11 +342,80 @@ def test_complement_forms_always_embed():
             continue
         sigma = rng.choice(sigmas)
         gram = complement_gram(rng, sigma)
+        if checked >= 200:
+            gram = doubled(gram, rng.randrange(gram.rank))
+            assert abs(gram.determinant()) == 4 * norm
         res = la.changemaker_obstruction(gram, norm, all_witnesses=True)
         assert res.status == "witness", (sigma, gram)
         assert sigma in [w.sigma for w in res.witnesses], (sigma, gram)
         assert all(w.verifies(gram) for w in res.witnesses)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the vector-count filter
+
+
+def test_complement_short_counts_against_brute_force():
+    checked = 0
+    for length in range(2, 7):
+        for norm in range(1, 60):
+            for sigma in la.enumerate_changemakers(length, norm):
+                want = [0] * (length + 1)
+                for v in itertools.product((-1, 0, 1), repeat=length):
+                    if sum(a * b for a, b in zip(v, sigma.entries)) == 0:
+                        want[sum(a * a for a in v)] += 1
+                got = la._complement_short_counts(sigma.entries)
+                assert got == (want[1], want[2]), sigma
+                checked += 1
+    assert checked == 306
+
+
+def test_short_counts_against_brute_force():
+    """Fincke-Pohst counts of norm-1 and norm-2 vectors against every vector
+    of a box that contains them: |x_i|^2 <= 2 ((-G)^-1)_ii for norm <= 2."""
+    rng = random.Random(8)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        gram = random_negative_definite(rng, n)
+        gp = [[-x for x in row] for row in gram.entries]
+        det = la.det_int(gp)
+        box = [
+            isqrt(2 * la.det_int([r[:i] + r[i + 1:] for r in gp[:i] + gp[i + 1:]]) // det)
+            for i in range(n)
+        ]
+        want = [0, 0, 0]
+        for x in itertools.product(*(range(-b, b + 1) for b in box)):
+            q = sum(gp[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+            if q <= 2:
+                want[q] += 1
+        facts = la._search_facts(gram)
+        assert facts.short == (want[1], want[2]), gram
+        assert facts.det == det
+
+
+def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
+    """The filtered search against the slow path that tries every sigma, on
+    the 148 census forms, GD at 226 and two early-witness Goeritz forms."""
+    from obstruct import goeritz as go
+    from obstruct import manifolds as mf
+
+    cases = [
+        (go.family_2odd_2odd(r.a, r.b), r.n) for r in mf.census_2odd(341)
+    ]
+    assert len(cases) == 148
+    cases.append((GD, 226))
+    for params in ((1, 2, 2, 3), (3, 2, 3, 2)):
+        gram = go.goeritz_matrix(go.fig3_black_graph(*params))
+        cases.append((gram, abs(gram.determinant())))
+
+    def search():
+        return [la.changemaker_obstruction(g, p, all_witnesses=True) for g, p in cases]
+
+    filtered = search()
+    monkeypatch.setattr(la, "_counts_admit", lambda facts, sigma: True)
+    assert search() == filtered
+    assert sum(r.status == "witness" for r in filtered) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -478,3 +478,9 @@ def test_census_rejects_nonpositive_jobs():
     for jobs in (0, -1):
         with pytest.raises(ValueError):
             mf.census_2odd(60, jobs=jobs)
+
+
+def test_census_rejects_nonpositive_max_product():
+    for max_product in (0, -9):
+        with pytest.raises(ValueError, match="max_product"):
+            mf.census_2odd(max_product)

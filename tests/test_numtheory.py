@@ -200,6 +200,10 @@ def test_chi_8m_at_4m_minus_1():
         assert nt.chi_8m(4 * m - 1, m) == -1
 
 
+def test_chi_8m_cache_is_bounded():
+    assert nt._chi_8m_cached.cache_info().maxsize is not None
+
+
 def test_chi_8m_domain_errors():
     with pytest.raises(ValueError):
         nt.chi_8m(3, 2)  # m even
