@@ -274,3 +274,27 @@ def test_golden_report_bytes(name, argv, monkeypatch, capsys):
     assert cli.main(list(argv)) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN_CLI / f"{name}.out").read_bytes()
+
+
+# paths the README examples do not reach: expected stdout and --pretty stderr
+# are kept next to these tests, in tests/golden/cli
+LOCKED = Path(__file__).resolve().parent / "golden" / "cli"
+
+LOCKED_COMMANDS = (
+    ("em-1-2-0-0", ("em", "--l", "1", "--m", "2", "--n", "0", "--p", "0")),
+    ("em-3-2-0-2", ("em", "--l", "3", "--m", "2", "--n", "0", "--p", "2")),
+    ("splice-2-3-5-7-changemaker",
+     ("splice", "--a", "2", "--b", "3", "--c", "5", "--d", "7", "--changemaker")),
+    ("density-s-50", ("density", "--set", "S", "--limit", "50")),
+    ("census-45", ("census-2odd", "--max-product", "45")),
+)
+
+
+@pytest.mark.parametrize("name,argv", LOCKED_COMMANDS, ids=[n for n, _ in LOCKED_COMMANDS])
+def test_locked_report_bytes(name, argv, capsys):
+    from obstruct import cli
+
+    assert cli.main([*argv, "--pretty"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == (LOCKED / f"{name}.out").read_bytes()
+    assert captured.err.encode() == (LOCKED / f"{name}.err").read_bytes()
