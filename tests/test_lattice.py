@@ -192,6 +192,22 @@ def test_known_basis_verifies_bit_exactly():
         assert sum(a * b for a, b in zip(v, SIGMA_226.entries)) == 0
 
 
+def test_verifies_rejects_bad_embeddings():
+    emb = la.Embedding(SIGMA_226, BASIS_226)
+    wrong_gram = [list(r) for r in GD.entries]
+    wrong_gram[0][0] -= 1
+    assert not emb.verifies(la.GramMatrix.from_rows(wrong_gram))
+    # (1, 0, ..., 0) is not orthogonal to sigma
+    tilted = ((1, 0, 0, 0, 0, 0, 0),) + BASIS_226[1:]
+    assert not la.Embedding(SIGMA_226, tilted).verifies(GD)
+    # the right Gram and orthogonality, but sigma = 0 spans nothing
+    minus_one = la.GramMatrix.from_rows([[-1]])
+    assert not la.Embedding(la.Changemaker((0, 0)), ((1, 0),)).verifies(minus_one)
+    # a singular Gram matrix: the zero vector is orthogonal to sigma
+    zero = la.GramMatrix.from_rows([[0]])
+    assert not la.Embedding(la.Changemaker((0, 1)), ((0, 0),)).verifies(zero)
+
+
 def test_gd_embedding_found_and_verifies():
     emb = la.embed_in_complement(GD, SIGMA_226)
     assert emb is not None
