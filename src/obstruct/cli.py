@@ -27,28 +27,16 @@ def frac(x) -> str:
     return str(Fraction(x))
 
 
-def _lens_json(m: manifolds.Lens) -> dict:
-    return {"kind": "lens", "p": m.p, "q": m.q, "h1_order": m.h1_order(), "name": str(m)}
-
-
 def manifold_json(m) -> dict:
     if isinstance(m, manifolds.Lens):
-        return _lens_json(m)
-    if isinstance(m, manifolds.ConnectedSum):
-        return {
-            "kind": "connected-sum",
-            "summands": [_lens_json(s) for s in m.summands],
-            "h1_order": m.h1_order(),
-            "name": str(m),
-        }
-    if isinstance(m, manifolds.SmallSFS):
-        return {
-            "kind": "sfs",
-            "base_orders": list(m.base_orders),
-            "h1_order": m.h1_order(),
-            "name": str(m),
-        }
-    raise TypeError(f"unknown manifold description {m!r}")
+        out = {"kind": "lens", "p": m.p, "q": m.q}
+    elif isinstance(m, manifolds.ConnectedSum):
+        out = {"kind": "connected-sum", "summands": [manifold_json(s) for s in m.summands]}
+    elif isinstance(m, manifolds.SmallSFS):
+        out = {"kind": "sfs", "base_orders": list(m.base_orders)}
+    else:
+        raise TypeError(f"unknown manifold description {m!r}")
+    return {**out, "h1_order": m.h1_order(), "name": str(m)}
 
 
 def splice_json(y: manifolds.Splice) -> dict:
@@ -118,19 +106,12 @@ def verdict_json(v: manifolds.SpliceVerdict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (inputs, result, pretty_lines)
+# command handlers: each returns (result, pretty_lines)
 
 
-def _cmd_splice(args) -> tuple[dict, dict, list[str]]:
+def _cmd_splice(args) -> tuple[dict, list[str]]:
     y = manifolds.Splice.of(args.a, args.b, args.c, args.d)
     v = manifolds.not_surgery_verdict(y, with_changemaker=args.changemaker)
-    inputs = {
-        "a": args.a,
-        "b": args.b,
-        "c": args.c,
-        "d": args.d,
-        "changemaker": args.changemaker,
-    }
     pretty = [
         f"{y}: |H1| = {v.h1}",
         f"  nonintegral pattern: "
@@ -143,10 +124,10 @@ def _cmd_splice(args) -> tuple[dict, dict, list[str]]:
         f"  slope -{v.h1}: {v.integral_minus.status}",
         f"  overall: {v.overall}",
     ]
-    return inputs, verdict_json(v), pretty
+    return verdict_json(v), pretty
 
 
-def _cmd_census(args) -> tuple[dict, dict, list[str]]:
+def _cmd_census(args) -> tuple[dict, list[str]]:
     rows = manifolds.census_2odd(args.max_product, jobs=args.jobs)
     result = {
         "max_product": args.max_product,
@@ -164,21 +145,22 @@ def _cmd_census(args) -> tuple[dict, dict, list[str]]:
     }
     pretty = [f"{'a':>3} {'b':>3} {'n':>5}  verdict"]
     pretty += [f"{r.a:>3} {r.b:>3} {r.n:>5}  {r.status}" for r in rows]
-    return {"max_product": args.max_product, "jobs": args.jobs}, result, pretty
+    return result, pretty
 
 
-def _cmd_changemaker(args) -> tuple[dict, dict, list[str]]:
-    if args.action == "enum":
-        cms = lattice.enumerate_changemakers(args.length, args.norm)
-        result = {
-            "count": len(cms),
-            "changemakers": [list(c.entries) for c in cms],
-            "max_norm": lattice.changemaker_max_norm(args.length),
-        }
-        inputs = {"action": "enum", "len": args.length, "norm": args.norm}
-        pretty = [f"{len(cms)} changemakers of length {args.length}, norm {args.norm}"]
-        pretty += ["  " + " ".join(map(str, c.entries)) for c in cms]
-        return inputs, result, pretty
+def _cmd_enum(args) -> tuple[dict, list[str]]:
+    cms = lattice.enumerate_changemakers(args.len, args.norm)
+    result = {
+        "count": len(cms),
+        "changemakers": [list(c.entries) for c in cms],
+        "max_norm": lattice.changemaker_max_norm(args.len),
+    }
+    pretty = [f"{len(cms)} changemakers of length {args.len}, norm {args.norm}"]
+    pretty += ["  " + " ".join(map(str, c.entries)) for c in cms]
+    return result, pretty
+
+
+def _cmd_embed(args) -> tuple[dict, list[str]]:
     try:
         with open(args.gram, encoding="utf-8") as fh:
             text = fh.read()
@@ -195,13 +177,12 @@ def _cmd_changemaker(args) -> tuple[dict, dict, list[str]]:
             for e in res.witnesses
         ],
     }
-    inputs = {"action": "embed", "gram": args.gram, "p": args.p, "all": args.all}
     pretty = [f"rank {gram.rank} lattice at norm {args.p}: {res.status}"]
     pretty += [f"  sigma = {e.sigma.entries}" for e in res.witnesses]
-    return inputs, result, pretty
+    return result, pretty
 
 
-def _cmd_em(args) -> tuple[dict, dict, list[str]]:
+def _cmd_em(args) -> tuple[dict, list[str]]:
     k = manifolds.EMKnot(args.l, args.m, args.n, args.p)
     slope = manifolds.em_slope(k)
     cyclic = manifolds.em_su2_cyclic(k)
@@ -238,7 +219,6 @@ def _cmd_em(args) -> tuple[dict, dict, list[str]]:
             "extension_window": [frac(lo), frac(hi)],
             "extension_holds": w.extension_holds,
         }
-    inputs = {"l": args.l, "m": args.m, "n": args.n, "p": args.p}
     pretty = [
         f"{k}: slope {slope}, |H1| = {abs(slope.numerator)}, "
         f"SU(2)-cyclic: {cyclic}",
@@ -246,10 +226,10 @@ def _cmd_em(args) -> tuple[dict, dict, list[str]]:
     ]
     if result["witness"]:
         pretty.append(f"  witness phi/pi = {result['witness']['phi_over_pi']}")
-    return inputs, result, pretty
+    return result, pretty
 
 
-def _cmd_density(args) -> tuple[dict, dict, list[str]]:
+def _cmd_density(args) -> tuple[dict, list[str]]:
     rset = numtheory.ResidueSet.parse(args.set)
     dens = numtheory.density(rset, args.limit)
     result: dict = {
@@ -266,8 +246,7 @@ def _cmd_density(args) -> tuple[dict, dict, list[str]]:
         result["product_bound"] = frac(bound)
         result["matches_bound"] = dens == bound
         pretty.append(f"product bound = {bound}")
-    inputs = {"set": args.set, "limit": args.limit, "bound": args.bound}
-    return inputs, result, pretty
+    return result, pretty
 
 
 def parse_cable_spec(spec: str) -> manifolds.IteratedTorusKnot:
@@ -289,7 +268,7 @@ def parse_cable_spec(spec: str) -> manifolds.IteratedTorusKnot:
     return manifolds.IteratedTorusKnot(base, cables)
 
 
-def _cmd_cable(args) -> tuple[dict, dict, list[str]]:
+def _cmd_cable(args) -> tuple[dict, list[str]]:
     knot = parse_cable_spec(args.knot)
     entries = manifolds.cable_su2_cyclic_slopes(knot)
     rows = []
@@ -321,7 +300,7 @@ def _cmd_cable(args) -> tuple[dict, dict, list[str]]:
     if not entries:
         pretty.append("  no nontrivial SU(2)-cyclic surgeries")
     result = {"knot": str(knot), "depth": knot.depth, "slopes": rows}
-    return {"knot": args.knot}, result, pretty
+    return result, pretty
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,18 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
     cs.add_argument("--jobs", type=int, default=1)
     cs.set_defaults(handler=_cmd_census)
 
-    cm = sub.add_parser("changemaker", parents=[common], help="changemaker tools")
+    cm = sub.add_parser("changemaker", help="changemaker tools")
     cmsub = cm.add_subparsers(dest="action", required=True)
     ce = cmsub.add_parser("enum", parents=[common])
-    ce.add_argument("--len", dest="length", type=int, required=True)
+    ce.add_argument("--len", type=int, required=True)
     ce.add_argument("--norm", type=int, required=True)
-    ce.set_defaults(handler=_cmd_changemaker)
+    ce.set_defaults(handler=_cmd_enum)
     cb = cmsub.add_parser("embed", parents=[common])
     cb.add_argument("--gram", required=True, help="Gram matrix file")
     cb.add_argument("--p", type=int, required=True)
     cb.add_argument("--all", action="store_true",
                     help="search every changemaker, not just the first witness")
-    cb.set_defaults(handler=_cmd_changemaker)
+    cb.set_defaults(handler=_cmd_embed)
 
     em = sub.add_parser("em", parents=[common], help="Eudave-Munoz knot report")
     em.add_argument("--l", type=int, required=True)
@@ -398,7 +377,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     started = time.monotonic()
     try:
-        inputs, result, pretty = args.handler(args)
+        result, pretty = args.handler(args)
     except (ValueError, OverflowError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -407,6 +386,10 @@ def main(argv=None) -> int:
         return 3
     elapsed_ms = round((time.monotonic() - started) * 1000.0, 3)
     command = args.command + (f" {args.action}" if hasattr(args, "action") else "")
+    inputs = {
+        k: v for k, v in vars(args).items()
+        if k not in ("command", "handler", "pretty", "timing")
+    }
     report = {
         "schema": 1,
         "version": __version__,

@@ -64,9 +64,6 @@ class CheckerboardGraph:
                     stack.append(w)
         return len(seen) == self.vertex_count
 
-    def degree(self, v: int) -> int:
-        return sum((u == v) + (w == v) for u, w in self.edges)
-
 
 def goeritz_matrix(graph: CheckerboardGraph, basepoint: int = 0) -> GramMatrix:
     """Goeritz matrix over the non-basepoint vertices: diagonal -deg(v_i),
@@ -78,11 +75,14 @@ def goeritz_matrix(graph: CheckerboardGraph, basepoint: int = 0) -> GramMatrix:
     n = len(keep)
     rows = [[0] * n for _ in range(n)]
     for u, v in graph.edges:
-        if u in idx and v in idx:
-            rows[idx[u]][idx[v]] += 1
-            rows[idx[v]][idx[u]] += 1
-    for v in keep:
-        rows[idx[v]][idx[v]] = -graph.degree(v)
+        i, j = idx.get(u), idx.get(v)
+        if i is not None:
+            rows[i][i] -= 1
+        if j is not None:
+            rows[j][j] -= 1
+        if i is not None and j is not None:
+            rows[i][j] += 1
+            rows[j][i] += 1
     return GramMatrix.from_rows(rows)
 
 

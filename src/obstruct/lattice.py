@@ -49,29 +49,6 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def matrix_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over the rationals, by exact elimination."""
-    a = [list(map(int, r)) for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, nrows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        for i in range(row + 1, nrows):
-            if a[i][col] != 0:
-                f, g = a[row][col], a[i][col]
-                a[i] = [f * a[i][j] - g * a[row][j] for j in range(ncols)]
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """A symmetric integer matrix, usually negative definite."""
@@ -226,9 +203,14 @@ class Embedding:
         )
 
     def verifies(self, gram: GramMatrix) -> bool:
-        """Exact check: Gram reproduction, sigma-orthogonality, full rank."""
+        """Exact check: Gram reproduction, sigma-orthogonality, full rank.
+
+        Once the first two hold, the n vectors v_i and sigma, all of length
+        n + 1, have full rank exactly when det G != 0 and sigma != 0:
+        V V^T = -G is nonsingular iff the v_i are independent, and a nonzero
+        sigma orthogonal to every v_i lies outside their span."""
         s = self.sigma.entries
-        if len(self.vectors) != gram.rank or any(
+        if len(s) != gram.rank + 1 or len(self.vectors) != gram.rank or any(
             len(v) != len(s) for v in self.vectors
         ):
             return False
@@ -236,8 +218,7 @@ class Embedding:
             return False
         if self.gram() != gram:
             return False
-        rows = [list(v) for v in self.vectors] + [list(s)]
-        return matrix_rank(rows) == len(s)
+        return gram.determinant() != 0 and any(s)
 
 
 class _SearchFacts(NamedTuple):

@@ -633,17 +633,16 @@ class CensusRow:
 
 def _census_row(pair: tuple[int, int]) -> CensusRow:
     a, b = pair
-    n = 4 * (2 * a + 1) * (2 * b + 1) - 1
-    result = _lattice.changemaker_obstruction(_goeritz.family_2odd_2odd(a, b), n)
-    emb = result.first()
-    log.debug("census row (%d,%d): n=%d %s", a, b, n, result.status)
-    return CensusRow(a, b, n, result.status, emb.sigma.entries if emb else None)
+    report = _changemaker_report(Splice.of(2 * a + 1, 2, 2 * b + 1, 2))
+    log.debug("census row (%d,%d): n=%d %s", a, b, -report.slope, report.status)
+    return CensusRow(a, b, -report.slope, report.status, report.sigma)
 
 
 def census_2odd(max_product: int = 341, jobs: int = 1) -> list[CensusRow]:
     """Changemaker verdicts for every splice of (2, 2a+1) and (2, 2b+1)
     torus knot exteriors with 1 <= a <= b and (2a+1)(2b+1) <= max_product,
-    at surgery slope -|H_1| = -(4(2a+1)(2b+1) - 1).
+    at surgery slope -|H_1| = -(4(2a+1)(2b+1) - 1): the changemaker part of
+    ``not_surgery_verdict(Splice.of(2a+1, 2, 2b+1, 2), with_changemaker=True)``.
 
     Rows are sorted by (a, b); with jobs > 1 rows are evaluated in parallel,
     by at most one worker process per CPU, and merged back in order, so the

@@ -310,7 +310,8 @@ def _chi_8m_cached(a: int, m: int, cap: int) -> int:
     p = a
     while p <= cap:
         if p > 1 and (2 * m) % p != 0 and is_prime(p):
-            return legendre(2 * m % p, p)
+            # Euler's criterion; p is an odd prime not dividing 2m
+            return 1 if pow(2 * m % p, (p - 1) // 2, p) == 1 else -1
         p += mod
     raise PrimeSearchCapExceeded(
         f"no prime congruent to {a} mod {mod} found below {cap}"

@@ -223,9 +223,19 @@ def test_pretty_goes_to_stderr():
 
 
 def test_timing_flag_populates_field():
-    proc = run_cli("density", "--set", "Sk:1", "--limit", "5", "--timing")
-    rep = json.loads(proc.stdout)
-    assert isinstance(rep["timing_ms"], float)
+    for argv in (("density", "--set", "Sk:1", "--limit", "5"),
+                 ("changemaker", "enum", "--len", "3", "--norm", "5")):
+        proc = run_cli(*argv, "--timing")
+        rep = json.loads(proc.stdout)
+        assert isinstance(rep["timing_ms"], float), argv
+
+
+def test_changemaker_group_rejects_report_flags():
+    # --pretty and --timing belong to the action, not to the changemaker group
+    for flag in ("--pretty", "--timing"):
+        proc = run_cli("changemaker", flag, "enum", "--len", "3", "--norm", "5")
+        assert proc.returncode == 2, flag
+        assert proc.stdout == ""
 
 
 def test_resource_cap_exit_3(monkeypatch, capsys):

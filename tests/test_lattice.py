@@ -73,13 +73,6 @@ def test_det_int_against_permutation_expansion():
         assert la.det_int(m) == want
 
 
-def test_matrix_rank():
-    assert la.matrix_rank([[1, 2], [2, 4]]) == 1
-    assert la.matrix_rank([[1, 0], [0, 1]]) == 2
-    assert la.matrix_rank([[0, 0], [0, 0]]) == 0
-    assert la.matrix_rank([[2, 4, 6], [1, 2, 3], [0, 1, 1]]) == 2
-
-
 def test_gram_matrix_validation():
     with pytest.raises(ValueError):
         la.GramMatrix.from_rows([[1, 2], [3, 4]])  # not symmetric
@@ -206,6 +199,8 @@ def test_verifies_rejects_bad_embeddings():
     # a singular Gram matrix: the zero vector is orthogonal to sigma
     zero = la.GramMatrix.from_rows([[0]])
     assert not la.Embedding(la.Changemaker((0, 1)), ((0, 0),)).verifies(zero)
+    # sigma and the vectors must have length rank + 1
+    assert not la.Embedding(la.Changemaker((0, 0, 1)), ((1, 0, 0),)).verifies(minus_one)
 
 
 def test_gd_embedding_found_and_verifies():
