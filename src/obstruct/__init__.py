@@ -51,6 +51,7 @@ from .numtheory import (
     Factorization,
     PrimeSearchCapExceeded,
     ResidueSet,
+    ResourceCapExceeded,
     chi_8m,
     density,
     factor,
@@ -80,6 +81,7 @@ __all__ = [
     "IteratedTorusKnot",
     "PrimeSearchCapExceeded",
     "ResidueSet",
+    "ResourceCapExceeded",
     "Splice",
     "TorusKnot",
     "cable_su2_cyclic_slopes",

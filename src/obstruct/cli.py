@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except numtheory.PrimeSearchCapExceeded as exc:
+    except numtheory.ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     elapsed_ms = round((time.monotonic() - started) * 1000.0, 3)

@@ -14,16 +14,23 @@ primes congruent to 5 mod 8 (n^2 != -1 mod p_i) and to 3 mod 4 (p_i does not
 divide n) respectively; their exact densities are the products returned by
 :func:`product_bound`.
 
+:func:`density` does not test each n: it sieves one bytearray over 1..limit,
+striking out the arithmetic progressions of non-members, so it needs about
+limit bytes and refuses limits above ``MAX_DENSITY_LIMIT`` (10^8) with
+:class:`ResourceCapExceeded` before allocating anything.  ``in_S``,
+``in_Sprime`` and ``ResidueSet.contains`` decide a single n.
+
 Inputs are restricted to signed 64-bit range.  All functions are pure; the
-prime sieve and the chi_8m table are memoized but immutable once built, so
-concurrent use is safe.
+chi_8m table is memoized but immutable once built, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 
 MAX_INPUT = 2**63 - 1
@@ -36,8 +43,18 @@ _TRIAL_LIMIT = 1000
 # by default.  Dirichlet guarantees one exists but gives no effective bound.
 DEFAULT_PRIME_SEARCH_CAP = 10**7
 
+# density() sieves an array of about limit bytes, so its limit is capped.
+MAX_DENSITY_LIMIT = 10**8
 
-class PrimeSearchCapExceeded(RuntimeError):
+# Segment length of the prime sieve and of the Sprime count, in bytes.
+_SEGMENT = 1 << 20
+
+
+class ResourceCapExceeded(RuntimeError):
+    """An input would take a computation past one of its fixed caps."""
+
+
+class PrimeSearchCapExceeded(ResourceCapExceeded):
     """No prime found in the arithmetic progression below the search cap."""
 
 
@@ -46,14 +63,45 @@ def _check_width(n: int, what: str = "argument") -> None:
         raise OverflowError(f"{what} {n} exceeds the supported 64-bit range")
 
 
-@lru_cache(maxsize=None)
-def _sieve_primes(limit: int = _TRIAL_LIMIT) -> tuple[int, ...]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return tuple(i for i, f in enumerate(flags) if f)
+def _clear(flags: bytearray, start: int, step: int) -> None:
+    """Zero flags[start::step] in place, from at most _SEGMENT zero bytes at
+    a time, so a small step does not allocate a large zero source."""
+    end = len(flags)
+    while end - start > step * _SEGMENT:
+        flags[start : start + step * _SEGMENT : step] = bytes(_SEGMENT)
+        start += step * _SEGMENT
+    if start < end:
+        flags[start::step] = bytes((end - 1 - start) // step + 1)
+
+
+def _primes_upto(limit: int, residue: int = 0, modulus: int = 1) -> Iterator[int]:
+    """The primes p <= limit with p = residue mod modulus, in increasing order.
+
+    A segmented sieve of Eratosthenes.  The first segment, at least
+    sqrt(limit) + 1 long, is sieved in place and holds every prime that
+    sieves the later ones, so memory stays O(sqrt(limit) + _SEGMENT).
+    """
+    size = max(_SEGMENT, isqrt(limit) + 1)
+    base: list[int] = []
+    for lo in range(0, limit + 1, size):
+        flags = bytearray([1]) * (min(lo + size, limit + 1) - lo)
+        hi = lo + len(flags)
+        if lo == 0:
+            flags[:2] = bytes(len(flags[:2]))
+            for p in range(2, isqrt(hi - 1) + 1):
+                if flags[p]:
+                    _clear(flags, p * p, p)
+            base = list(compress(range(isqrt(limit) + 1), flags))
+        else:
+            for p in base:
+                if p * p >= hi:
+                    break
+                _clear(flags, -lo % p, p)  # p < lo, so these are composite
+        first = (residue - lo) % modulus
+        yield from compress(range(lo + first, hi, modulus), flags[first::modulus])
+
+
+_TRIAL_PRIMES = tuple(_primes_upto(_TRIAL_LIMIT))
 
 
 # Deterministic Miller-Rabin witnesses, sufficient for all n < 3.3 * 10^24.
@@ -154,7 +202,7 @@ def factor(n: int) -> Factorization:
     _check_width(n)
     found: dict[int, int] = {}
     m = n
-    for p in _sieve_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
@@ -343,7 +391,7 @@ def _odd_divisors_one_mod(d: int, modulus: int) -> bool:
     """
     while d % 2 == 0:
         d //= 2
-    for p in _sieve_primes():  # 2 no longer divides d
+    for p in _TRIAL_PRIMES:  # 2 no longer divides d
         if p * p > d:
             break
         if d % p == 0:
@@ -465,11 +513,65 @@ class ResidueSet:
 
 
 def density(rset: ResidueSet, limit: int) -> Fraction:
-    """Exact density |{1..limit} intersect rset| / limit."""
+    """Exact density |{1..limit} intersect rset| / limit, by one sieve.
+
+    ``keep[n]`` starts at 1 for every n in 1..limit; each kind zeroes the
+    residue classes of its non-members:
+
+    * Tk: the multiples of each of its primes.
+    * Sk: n = +-r mod p for each of its primes p, where r = 2^((p-1)/4) is a
+      square root of -1 mod p (2 is a non-residue for p = 5 mod 8).
+    * S: n = 2, 3, 5, 6 mod 8, and n = +-r mod p for every prime p <= limit
+      with p = 5 mod 8.  n^2 + 1 <= limit^2 + 1 has at most one prime factor
+      above limit, so a surviving n is in S exactly when the odd part of
+      n^2 + 1 is 1 mod 8, which holds exactly when n = 0, 1, 4, 7 mod 8.
+    * Sprime: counted by :func:`_count_sprime`.
+    """
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
-    count = sum(1 for n in range(1, limit + 1) if rset.contains(n))
-    return Fraction(count, limit)
+    if limit > MAX_DENSITY_LIMIT:
+        raise ResourceCapExceeded(
+            f"density limit {limit} exceeds MAX_DENSITY_LIMIT = {MAX_DENSITY_LIMIT}"
+        )
+    if rset.kind == "Sprime":
+        return Fraction(_count_sprime(limit), limit)
+    keep = bytearray([1]) * (limit + 1)
+    keep[0] = 0
+    if rset.kind == "Tk":
+        for p in rset.primes():
+            _clear(keep, p, p)
+        return Fraction(keep.count(1), limit)
+    if rset.kind == "S":
+        for c in (2, 3, 5, 6):
+            _clear(keep, c, 8)
+        primes: Iterator[int] | tuple[int, ...] = _primes_upto(limit, 5, 8)
+    else:
+        primes = rset.primes()
+    for p in primes:
+        r = pow(2, (p - 1) // 4, p)
+        _clear(keep, r, p)
+        _clear(keep, p - r, p)
+    return Fraction(keep.count(1), limit)
+
+
+def _count_sprime(limit: int) -> int:
+    """|{2..limit} intersect Sprime|.
+
+    ``good[m]`` is 1 when no prime 3 mod 4 divides m (0 <= m <= limit + 1);
+    n counts when good[n - 1] or good[n + 1].  The two rows are compared a
+    segment at a time, as the bits of two integers.
+    """
+    good = bytearray([1]) * (limit + 2)
+    for p in _primes_upto(limit + 1, 3, 4):
+        _clear(good, p, p)
+    count = 0
+    with memoryview(good) as view:
+        for lo in range(1, limit, _SEGMENT):  # lo = n - 1
+            hi = min(lo + _SEGMENT, limit)
+            below = int.from_bytes(view[lo:hi], "little")
+            above = int.from_bytes(view[lo + 2 : hi + 2], "little")
+            count += (below | above).bit_count()
+    return count
 
 
 def product_bound(kind: str, k: int) -> Fraction:

@@ -169,8 +169,13 @@ def test_acceptance_08_residue_sets_and_densities():
         == nt.product_bound("Sk", k)
         for k in range(0, 4)
     )
-    ok = shortcut_ok and d_large < d_small and periodic_ok
-    report(8, ok, "shortcut classes to 10^5; density decreasing; periodic densities exact")
+    # counts from the per-n membership test (in_S / in_Sprime for each n)
+    counts_ok = d_large == Fraction(127352, 10**6) and nt.density(
+        nt.ResidueSet("Sprime"), 10**6
+    ) == Fraction(349199, 10**6)
+    ok = shortcut_ok and d_large < d_small and periodic_ok and counts_ok
+    report(8, ok, "shortcut classes to 10^5; density decreasing; 10^6 counts; "
+                  "periodic densities exact")
 
 
 def test_acceptance_09_witness_sweep():

@@ -250,6 +250,24 @@ def test_resource_cap_exit_3(monkeypatch, capsys):
     assert "resource cap" in capsys.readouterr().err
 
 
+def test_density_limit_cap_exit_3(capsys):
+    import tracemalloc
+
+    from obstruct import cli
+
+    tracemalloc.start()
+    try:
+        rc = cli.main(["density", "--set", "S", "--limit", "100000001"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource cap: ") and "100000001" in err
+    assert peak < 2**20  # refused before the sieve's array is allocated
+
+
 # ---------------------------------------------------------------------------
 # golden reports: the README examples, byte for byte
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -296,11 +297,54 @@ def test_class_prime_lists():
     assert nt.primes_in_class(5, 3, 4) == (3, 7, 11, 19, 23)
 
 
+DENSITY_SETS = (
+    [nt.ResidueSet("S"), nt.ResidueSet("Sprime")]
+    + [nt.ResidueSet("Sk", k) for k in range(4)]
+    + [nt.ResidueSet("Tk", k) for k in range(6)]
+)
+
+
 def test_density_examples():
+    """The sieve against the per-n membership test: every limit to 2,000 for
+    each kind, then S and Sprime at 2 * 10^4 against in_S / in_Sprime."""
     assert nt.density(nt.ResidueSet("Sk", 0), 10) == 1
     assert nt.density(nt.ResidueSet("Sk", 1), 25) == Fraction(3, 5)
-    direct = sum(1 for n in range(1, 101) if nt.in_S(n))
-    assert nt.density(nt.ResidueSet("S"), 100) == Fraction(direct, 100)
+    for rset in DENSITY_SETS:
+        count = 0
+        for limit in range(1, 2001):
+            count += rset.contains(limit)
+            assert nt.density(rset, limit) * limit == count, (rset, limit)
+    limit = 2 * 10**4
+    in_s = sum(1 for n in range(1, limit + 1) if nt.in_S(n))
+    in_sprime = sum(1 for n in range(2, limit + 1) if nt.in_Sprime(n))
+    assert nt.density(nt.ResidueSet("S"), limit) == Fraction(in_s, limit)
+    assert nt.density(nt.ResidueSet("Sprime"), limit) == Fraction(in_sprime, limit)
+
+
+def test_density_sieve_across_segments(monkeypatch):
+    """A 16-byte segment sends the prime sieve, the chunked clears and the
+    Sprime count through many segments."""
+    monkeypatch.setattr(nt, "_SEGMENT", 16)
+    for limit in (1, 2, 15, 16, 17, 255, 256, 257, 1000):
+        primes = [p for p in range(limit + 1) if nt.is_prime(p)]
+        assert list(nt._primes_upto(limit)) == primes
+        assert list(nt._primes_upto(limit, 3, 4)) == [p for p in primes if p % 4 == 3]
+        for rset in DENSITY_SETS:
+            count = sum(1 for n in range(1, limit + 1) if rset.contains(n))
+            assert nt.density(rset, limit) * limit == count, (rset, limit)
+
+
+def test_density_limit_cap():
+    tracemalloc.start()
+    try:
+        for rset in DENSITY_SETS[:3] + DENSITY_SETS[-1:]:
+            with pytest.raises(nt.ResourceCapExceeded, match="MAX_DENSITY_LIMIT"):
+                nt.density(rset, nt.MAX_DENSITY_LIMIT + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # refused before the sieve's array is allocated
+    assert issubclass(nt.PrimeSearchCapExceeded, nt.ResourceCapExceeded)
 
 
 def test_product_bound_examples():
