@@ -154,31 +154,87 @@ def enumerate_changemakers(length: int, norm: int) -> list[Changemaker]:
     in lexicographic order.  Empty when norm exceeds the doubling bound."""
     if length < 1 or norm < 1:
         raise ValueError("need length >= 1 and norm >= 1")
-    out: list[Changemaker] = []
-    sig = [0] * length
+    return [Changemaker(s) for s in _changemakers(length, norm)]
 
-    def rec(i: int, prefix_sum: int, rem: int) -> None:
-        lo = sig[i - 1] if i else 0
-        if i == length - 1:
-            # the last entry must absorb the whole remaining norm
-            v = isqrt(rem)
-            if v * v == rem and lo <= v <= prefix_sum + 1:
-                sig[i] = v
-                out.append(Changemaker(tuple(sig)))
+
+def _changemakers(
+    length: int, norm: int, short: tuple[int, ...] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The changemakers of `enumerate_changemakers`, in the same order, as
+    tuples; with `short`, only those whose complement has exactly short[0]
+    vectors of norm 1 and short[1] of norm 2 (see _complement_short_counts).
+
+    A nondecreasing sigma has its z = short[0] / 2 zeros as a prefix, so the
+    entries before position z are 0 and the rest are positive.  Its nonzero
+    entries come in contiguous blocks of equal values, so the block sum
+    sum C(m, 2) only grows as entries are appended, and a prefix whose sum
+    exceeds (short[1] - 4 C(z, 2)) / 2 is cut, as is one whose sum cannot
+    reach it even if every later entry joins its last block.  The last two
+    entries come from the representations of the remaining norm as a sum of
+    two squares.
+    """
+    if short is None:
+        zlo, zhi, plo, phi = 0, length, 0, comb(length, 2)
+    else:
+        z, odd = divmod(short[0], 2)
+        pairs2 = short[1] - 4 * comb(z, 2)
+        if odd or pairs2 < 0 or pairs2 % 2 or z >= length:
             return
+        zlo = zhi = z
+        plo = phi = pairs2 // 2
+    # entries before position zlo are 0; entries from position zhi on are not
+    if length == 1:
+        if norm == 1 and zlo == 0 and plo == 0:
+            yield (1,)
+        return
+    sig = [0] * length
+    two_squares: dict[int, list[tuple[int, int]]] = {}
+
+    def rec(i: int, prefix_sum: int, rem: int, pairs: int, run: int) -> Iterator[tuple[int, ...]]:
+        # pairs: sum C(m, 2) over the nonzero blocks so far; run: length of
+        # the nonzero block that ends the prefix (0 after a zero entry)
+        prev = sig[i - 1] if i else 0
+        lo = max(prev, 1) if i >= zhi else prev
+        if i == length - 2:
+            reps = two_squares.get(rem)
+            if reps is None:
+                reps = two_squares[rem] = []
+                for a in range(isqrt(rem // 2) + 1):
+                    b = isqrt(rem - a * a)
+                    if b * b == rem - a * a:
+                        reps.append((a, b))
+            hi = 0 if i < zlo else prefix_sum + 1
+            # b >= a >= lo; b is never forced to 0, since norm >= 1
+            for a, b in reps:
+                if a > hi:
+                    break
+                if a < lo or b > prefix_sum + a + 1:
+                    continue
+                npairs, nrun = (pairs + run, run + (a > 0)) if a == prev else (pairs, 1)
+                if b == a:
+                    npairs += nrun
+                if plo <= npairs <= phi:
+                    sig[i], sig[i + 1] = a, b
+                    yield tuple(sig)
+            return
+        hi = 0 if i < zlo else min(prefix_sum + 1, isqrt(rem))
         slots = length - i - 1  # entries after this one
         doubling = changemaker_max_norm(slots)
-        for v in range(lo, min(prefix_sum + 1, isqrt(rem)) + 1):
+        joined = comb(slots, 2)  # pairs among later entries in one block
+        for v in range(lo, hi + 1):
             nrem = rem - v * v
             if nrem < slots * v * v:
                 break  # later entries are all >= v; worse for every larger v
             if nrem > (prefix_sum + v + 1) ** 2 * doubling:
                 continue  # even doubling growth cannot reach the norm
+            npairs, nrun = (pairs + run, run + (v > 0)) if v == prev else (pairs, 1)
+            # the t-th later entry adds at most nrun + t pairs
+            if npairs > phi or npairs + slots * nrun + joined < plo:
+                continue
             sig[i] = v
-            rec(i + 1, prefix_sum + v, nrem)
+            yield from rec(i + 1, prefix_sum + v, nrem, npairs, nrun)
 
-    rec(0, 0, norm)
-    return out
+    yield from rec(0, 0, norm, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -228,7 +284,7 @@ class _SearchFacts(NamedTuple):
     positive: tuple[tuple[int, ...], ...]  # the positive-definite form -G
     order: tuple[int, ...]  # fill order: by diagonal entry, then by index
     det: int  # |det G|
-    short: tuple[int, int]  # numbers of vectors of norm 1 and of norm 2
+    short: tuple[int, int, int]  # numbers of vectors of norm 1, 2 and 3
 
 
 @lru_cache(maxsize=64)
@@ -245,8 +301,8 @@ def _search_facts(gram: GramMatrix) -> _SearchFacts:
     minors = [1] + [u[k][k] for k in range(n)]
     scale = lcm(*(minors[k] * minors[k + 1] for k in range(n)))
     weight = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
-    top = 2 * scale  # enumerate every x with Q(x) <= 2
-    counts = [0, 0, 0]
+    top = 3 * scale  # enumerate every x with Q(x) <= 3
+    counts = [0, 0, 0, 0]
     x = [0] * n
 
     def rec(k: int, rem: int) -> None:
@@ -268,21 +324,40 @@ def _search_facts(gram: GramMatrix) -> _SearchFacts:
         positive=gp,
         order=tuple(sorted(range(n), key=lambda i: (gp[i][i], i))),
         det=minors[n],
-        short=(counts[1], counts[2]),
+        short=(counts[1], counts[2], counts[3]),
     )
 
 
-def _complement_short_counts(entries: tuple[int, ...]) -> tuple[int, int]:
-    """Numbers of vectors of norm 1 and of norm 2 orthogonal to sigma in Z^d.
+def _complement_short_counts(entries: tuple[int, ...]) -> tuple[int, int, int]:
+    """Numbers of vectors of norm 1, 2 and 3 orthogonal to sigma in Z^d.
 
-    Norm 1: +-e_i with sigma_i = 0.  Norm 2: +-e_i +-e_j with
-    sigma_i = sigma_j = 0, and +-(e_i - e_j) with sigma_i = sigma_j != 0.
+    Such vectors have one, two or three entries +-1.  With z zero entries
+    and nonzero blocks of equal entries of sizes m:
+    norm 1: +-e_i with sigma_i = 0, so 2z;
+    norm 2: +-e_i +-e_j on two zeros, and +-(e_i - e_j) within a block, so
+    4 C(z, 2) + 2 sum C(m, 2);
+    norm 3: signs on three zeros, +-e_i +-(e_j - e_k) with one zero and a
+    pair in a block, and +-(e_i + e_j - e_k) with sigma_k = sigma_i + sigma_j
+    on three nonzero entries, so 8 C(z, 3) + 4 z sum C(m, 2) + 2 t, where t
+    counts the sets of three nonzero entries one of which is the sum of the
+    other two.
     """
     mult: dict[int, int] = {}
     for v in entries:
         mult[v] = mult.get(v, 0) + 1
     zeros = mult.pop(0, 0)
-    return 2 * zeros, 4 * comb(zeros, 2) + sum(2 * comb(m, 2) for m in mult.values())
+    pairs = sum(comb(m, 2) for m in mult.values())
+    triples = 0
+    values = sorted(mult)
+    for i, u in enumerate(values):
+        triples += comb(mult[u], 2) * mult.get(2 * u, 0)
+        for w in values[i + 1 :]:
+            triples += mult[u] * mult[w] * mult.get(u + w, 0)
+    return (
+        2 * zeros,
+        4 * comb(zeros, 2) + 2 * pairs,
+        8 * comb(zeros, 3) + 4 * zeros * pairs + 2 * triples,
+    )
 
 
 def _counts_admit(facts: _SearchFacts, sigma: Changemaker) -> bool:
@@ -291,7 +366,7 @@ def _counts_admit(facts: _SearchFacts, sigma: Changemaker) -> bool:
     An embedding preserves norms and is injective, and its image has finite
     index k in the complement, whose determinant is |sigma|^2 (a changemaker
     contains a 1, so it is primitive).  Hence |det G| = k^2 |sigma|^2, L has
-    at most as many vectors of norm 1 and of norm 2 as the complement, and
+    at most as many vectors of each norm 1, 2 and 3 as the complement, and
     exactly as many when k = 1, since then L is isometric to the complement.
     """
     k2, r = divmod(facts.det, sigma.norm)
@@ -311,8 +386,12 @@ def iter_embeddings(gram: GramMatrix, sigma: Changemaker) -> Iterator[Embedding]
     The search is complete backtracking: exhausting the iterator without a
     result proves that no embedding exists.  Before it starts, sigma is
     rejected when |det G| is not a square times |sigma|^2 or when the counts
-    of norm-1 and norm-2 vectors of the two lattices rule an embedding out
-    (see ``_counts_admit``); each such rejection is itself a proof.  Vectors
+    of vectors of norm 1, 2 and 3 of the two lattices rule an embedding out
+    (see ``_counts_admit``); each such rejection is itself a proof.  At
+    index 1 (|det G| = |sigma|^2) the counts must be equal, because L is then
+    isometric to the complement.  The rejection holds for any sigma, whether
+    or not it came from the pruned enumeration of ``changemaker_obstruction``,
+    so a single ``embed_in_complement`` call gets it too.  Vectors
     are filled in increasing order of the Gram diagonal; coordinates are
     processed from the largest sigma entry down; candidate values run from
     high to low, so the first embedding produced is canonical and
@@ -448,13 +527,20 @@ def changemaker_obstruction(
     Returns the first witness in (changemaker lex order, canonical embedding
     order), or all of them with ``all_witnesses`` (one embedding per
     admitting changemaker; used for uniqueness checks).
+
+    When |det G| = p, an embedding would have index 1 (|det G| = k^2 p), so
+    L would be isometric to sigma's complement and have exactly its numbers
+    of norm-1 and norm-2 vectors; the enumeration then skips every sigma
+    without them (see ``_changemakers``).  Otherwise every changemaker is
+    enumerated, and ``iter_embeddings`` applies the count conditions.
     """
-    _search_facts(gram)  # ValueError unless gram is negative definite
+    facts = _search_facts(gram)  # ValueError unless gram is negative definite
     if p < 1:
         raise ValueError(f"norm p must be positive, got {p}")
     found = []
-    for sigma in enumerate_changemakers(gram.rank + 1, p):
-        emb = embed_in_complement(gram, sigma)
+    short = facts.short if facts.det == p else None
+    for entries in _changemakers(gram.rank + 1, p, short):
+        emb = embed_in_complement(gram, Changemaker(entries))
         if emb is not None:
             found.append(emb)
             if not all_witnesses:

@@ -46,6 +46,10 @@ DEFAULT_PRIME_SEARCH_CAP = 10**7
 # density() sieves an array of about limit bytes, so its limit is capped.
 MAX_DENSITY_LIMIT = 10**8
 
+# Sk(k) and Tk(k) find their first k primes by testing each integer in turn;
+# the largest k allowed takes about half a second.
+MAX_RESIDUE_K = 10**4
+
 # Segment length of the prime sieve and of the Sprime count, in bytes.
 _SEGMENT = 1 << 20
 
@@ -435,7 +439,7 @@ def in_Sprime(n: int) -> bool:
     return _odd_divisors_one_mod(n - 1, 4) or _odd_divisors_one_mod(n + 1, 4)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def primes_in_class(k: int, residue: int, modulus: int) -> tuple[int, ...]:
     """The first k primes congruent to residue mod modulus."""
     if k < 0:
@@ -456,6 +460,7 @@ class ResidueSet:
     ``Sk(k)`` keeps n with n^2 != -1 mod p for each of the first k primes
     p = 5 mod 8; ``Tk(k)`` keeps n not divisible by any of the first k primes
     p = 3 mod 4.  Both are periodic, with period the product of their primes.
+    k above ``MAX_RESIDUE_K`` raises :class:`ResourceCapExceeded`.
     """
 
     kind: str
@@ -468,6 +473,10 @@ class ResidueSet:
         elif self.kind in ("Sk", "Tk"):
             if self.k is None or self.k < 0:
                 raise ValueError(f"{self.kind} needs k >= 0")
+            if self.k > MAX_RESIDUE_K:
+                raise ResourceCapExceeded(
+                    f"{self.kind} k = {self.k} exceeds MAX_RESIDUE_K = {MAX_RESIDUE_K}"
+                )
         else:
             raise ValueError(f"unknown residue set kind {self.kind!r}")
 

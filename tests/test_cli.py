@@ -268,6 +268,16 @@ def test_density_limit_cap_exit_3(capsys):
     assert peak < 2**20  # refused before the sieve's array is allocated
 
 
+def test_density_k_cap_exit_3(capsys):
+    from obstruct import cli
+
+    for token in ("Sk:10001", "Tk:100000"):
+        assert cli.main(["density", "--set", token, "--limit", "10"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("resource cap: ") and "MAX_RESIDUE_K = 10000" in err
+
+
 # ---------------------------------------------------------------------------
 # golden reports: the README examples, byte for byte
 

@@ -368,23 +368,26 @@ def test_complement_forms_always_embed():
 
 
 def test_complement_short_counts_against_brute_force():
+    """Vectors of norm <= 3 have entries in {-1, 0, 1}, so this box holds
+    every one of them."""
     checked = 0
     for length in range(2, 7):
         for norm in range(1, 60):
             for sigma in la.enumerate_changemakers(length, norm):
-                want = [0] * (length + 1)
+                want = [0] * max(length + 1, 4)
                 for v in itertools.product((-1, 0, 1), repeat=length):
                     if sum(a * b for a, b in zip(v, sigma.entries)) == 0:
                         want[sum(a * a for a in v)] += 1
                 got = la._complement_short_counts(sigma.entries)
-                assert got == (want[1], want[2]), sigma
+                assert got == (want[1], want[2], want[3]), sigma
                 checked += 1
     assert checked == 306
 
 
 def test_short_counts_against_brute_force():
-    """Fincke-Pohst counts of norm-1 and norm-2 vectors against every vector
-    of a box that contains them: |x_i|^2 <= 2 ((-G)^-1)_ii for norm <= 2."""
+    """Fincke-Pohst counts of norm-1, norm-2 and norm-3 vectors against every
+    vector of a box that contains them: |x_i|^2 <= 3 ((-G)^-1)_ii for
+    norm <= 3."""
     rng = random.Random(8)
     for _ in range(150):
         n = rng.randint(1, 4)
@@ -392,17 +395,39 @@ def test_short_counts_against_brute_force():
         gp = [[-x for x in row] for row in gram.entries]
         det = la.det_int(gp)
         box = [
-            isqrt(2 * la.det_int([r[:i] + r[i + 1:] for r in gp[:i] + gp[i + 1:]]) // det)
+            isqrt(3 * la.det_int([r[:i] + r[i + 1:] for r in gp[:i] + gp[i + 1:]]) // det)
             for i in range(n)
         ]
-        want = [0, 0, 0]
+        want = [0, 0, 0, 0]
         for x in itertools.product(*(range(-b, b + 1) for b in box)):
             q = sum(gp[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
-            if q <= 2:
+            if q <= 3:
                 want[q] += 1
         facts = la._search_facts(gram)
-        assert facts.short == (want[1], want[2]), gram
+        assert facts.short == (want[1], want[2], want[3]), gram
         assert facts.det == det
+
+
+def test_targeted_enumeration_equals_filtered_enumeration():
+    """_changemakers with count targets yields exactly the changemakers whose
+    complement has those norm-1 and norm-2 counts, in enumeration order.
+    Targets are the counts of up to three changemakers of the same length and
+    norm, plus random ones (odd or out of range included)."""
+    rng = random.Random(13)
+    checked = 0
+    for length in range(1, 9):
+        for norm in range(1, 300):
+            cms = [c.entries for c in la.enumerate_changemakers(length, norm)]
+            counts = {c: la._complement_short_counts(c)[:2] for c in cms}
+            real = sorted(set(counts.values()))
+            targets = set(rng.sample(real, min(3, len(real))))
+            for _ in range(2):
+                targets.add((rng.randint(0, 2 * length + 1), rng.randint(0, length * length)))
+            for target in targets:
+                want = [c for c in cms if counts[c] == target]
+                assert list(la._changemakers(length, norm, target)) == want, (length, norm, target)
+                checked += 1
+    assert checked == 7526
 
 
 def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
@@ -424,9 +449,32 @@ def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
         return [la.changemaker_obstruction(g, p, all_witnesses=True) for g, p in cases]
 
     filtered = search()
+    every_sigma = la._changemakers
     monkeypatch.setattr(la, "_counts_admit", lambda facts, sigma: True)
+    monkeypatch.setattr(
+        la, "_changemakers", lambda length, norm, short=None: every_sigma(length, norm)
+    )
     assert search() == filtered
     assert sum(r.status == "witness" for r in filtered) == 8
+
+
+def test_fig3_black_grid_verdicts():
+    """The changemaker verdicts of 45 fig3-black forms at p = |det|: every
+    (a0, b0) in 1..3 with 2 <= a1 <= b1 <= 4, a1 = b1 = 2 excluded."""
+    from obstruct import goeritz as go
+
+    verdicts = {}
+    for a0, b0 in itertools.product(range(1, 4), repeat=2):
+        for a1, b1 in itertools.combinations_with_replacement(range(2, 5), 2):
+            if a1 == b1 == 2:
+                continue
+            gram = go.goeritz_matrix(go.fig3_black_graph(a0, a1, b0, b1))
+            res = la.changemaker_obstruction(gram, abs(gram.determinant()))
+            verdicts[a0, a1, b0, b1] = res.first().sigma.entries if res.witnesses else None
+    assert len(verdicts) == 45
+    assert {k: v for k, v in verdicts.items() if v is not None} == {
+        (1, 2, 2, 3): (1, 1, 2, 2, 3, 5, 9)
+    }
 
 
 # ---------------------------------------------------------------------------

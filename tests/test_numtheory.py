@@ -347,6 +347,24 @@ def test_density_limit_cap():
     assert issubclass(nt.PrimeSearchCapExceeded, nt.ResourceCapExceeded)
 
 
+def test_residue_k_cap(monkeypatch):
+    """k above MAX_RESIDUE_K is refused when the set is built, before any
+    prime search; the prime lists are kept in a bounded cache."""
+
+    def no_search(*args):
+        raise AssertionError("prime search started")
+
+    monkeypatch.setattr(nt, "primes_in_class", no_search)
+    for kind in ("Sk", "Tk"):
+        assert nt.ResidueSet(kind, nt.MAX_RESIDUE_K).k == nt.MAX_RESIDUE_K
+        with pytest.raises(nt.ResourceCapExceeded, match="MAX_RESIDUE_K"):
+            nt.ResidueSet(kind, nt.MAX_RESIDUE_K + 1)
+        with pytest.raises(nt.ResourceCapExceeded, match="MAX_RESIDUE_K"):
+            nt.ResidueSet.parse(f"{kind}:{nt.MAX_RESIDUE_K + 1}")
+    monkeypatch.undo()
+    assert nt.primes_in_class.cache_info().maxsize is not None
+
+
 def test_product_bound_examples():
     assert nt.product_bound("Sk", 0) == 1
     assert nt.product_bound("Sk", 1) == Fraction(3, 5)
