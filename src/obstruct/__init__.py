@@ -44,7 +44,6 @@ from .manifolds import (
     integral_obstruction,
     nonintegral_classification,
     not_surgery_verdict,
-    slope_distance,
     torus_knot_surgery,
 )
 from .numtheory import (
@@ -58,7 +57,6 @@ from .numtheory import (
     in_S,
     in_Sprime,
     is_prime,
-    is_square_mod,
     legendre,
     product_bound,
     square_root_mod,
@@ -66,7 +64,6 @@ from .numtheory import (
 from .repvar import (
     IrrepWitness,
     irrep_witness,
-    small_sfs_su2_abelian,
     x1_singular_orders,
 )
 
@@ -106,7 +103,6 @@ __all__ = [
     "irrep_witness",
     "is_changemaker",
     "is_prime",
-    "is_square_mod",
     "iter_embeddings",
     "l35_white_graph",
     "legendre",
@@ -114,8 +110,6 @@ __all__ = [
     "not_surgery_verdict",
     "parse_gram_text",
     "product_bound",
-    "slope_distance",
-    "small_sfs_su2_abelian",
     "square_root_mod",
     "torus_knot_surgery",
     "x1_singular_orders",

@@ -128,7 +128,9 @@ def _cmd_splice(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_census(args) -> tuple[dict, list[str]]:
-    rows = manifolds.census_2odd(args.max_product, jobs=args.jobs)
+    if args.jobs < 1:
+        raise ValueError(f"need --jobs >= 1, got {args.jobs}")
+    rows = manifolds.census_2odd(args.max_product)
     result = {
         "max_product": args.max_product,
         "rows": [
@@ -243,9 +245,14 @@ def _cmd_density(args) -> tuple[dict, list[str]]:
         if rset.kind not in ("Sk", "Tk"):
             raise ValueError("--bound applies only to Sk:k / Tk:k sets")
         bound = numtheory.product_bound(rset.kind, rset.k)
-        result["product_bound"] = frac(bound)
+        try:
+            result["product_bound"] = frac(bound)
+        except ValueError:  # more digits than int-to-str conversion allows
+            raise numtheory.ResourceCapExceeded(
+                f"the exact product bound of {rset.name()} is too long to write"
+            ) from None
         result["matches_bound"] = dens == bound
-        pretty.append(f"product bound = {bound}")
+        pretty.append(f"product bound = {result['product_bound']}")
     return result, pretty
 
 
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     cs = sub.add_parser("census-2odd", parents=[common],
                         help="changemaker census over the (2,odd)-(2,odd) splices")
     cs.add_argument("--max-product", type=int, default=341)
-    cs.add_argument("--jobs", type=int, default=1)
+    cs.add_argument("--jobs", type=int, default=1, help="no effect: the census runs in one process")
     cs.set_defaults(handler=_cmd_census)
 
     cm = sub.add_parser("changemaker", help="changemaker tools")

@@ -12,8 +12,10 @@ Sign convention: the lattice pairing is <x, y> = -sum(x_i * y_i).  We store
 the positive-definite negation internally and only negate at the API
 boundary, which keeps the search free of sign errors.
 
-All integer linear algebra (determinants, ranks) is fraction-free; no
-floating point is used anywhere.
+All integer linear algebra is one fraction-free Bareiss elimination of -G
+without pivoting; its pivots, the leading principal minors of -G, decide
+definiteness and give the determinant.  Only negative-definite forms need a
+determinant, so pivoting is never needed.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -22,31 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt, lcm
 from typing import Iterator, NamedTuple
-
-
-def det_int(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -73,7 +50,11 @@ class GramMatrix:
         return len(self.entries)
 
     def determinant(self) -> int:
-        return det_int([list(r) for r in self.entries])
+        """det G = (-1)^n det(-G); ValueError unless G is negative definite."""
+        u = _positive_elimination(self)
+        if u is None:
+            raise ValueError("Gram matrix must be negative definite")
+        return (-1) ** self.rank * (u[-1][-1] if u else 1)
 
     def is_negative_definite(self) -> bool:
         """(-1)^k times the k-th leading principal minor is positive for all k."""
@@ -130,14 +111,6 @@ class Changemaker:
     @property
     def norm(self) -> int:
         return sum(v * v for v in self.entries)
-
-    @property
-    def l1(self) -> int:
-        return sum(self.entries)
-
-    def genus(self) -> int:
-        """(norm - l1) / 2; an integer since v^2 = v mod 2."""
-        return (self.norm - self.l1) // 2
 
 
 def changemaker_max_norm(length: int) -> int:
@@ -261,10 +234,10 @@ class Embedding:
     def verifies(self, gram: GramMatrix) -> bool:
         """Exact check: Gram reproduction, sigma-orthogonality, full rank.
 
-        Once the first two hold, the n vectors v_i and sigma, all of length
-        n + 1, have full rank exactly when det G != 0 and sigma != 0:
-        V V^T = -G is nonsingular iff the v_i are independent, and a nonzero
-        sigma orthogonal to every v_i lies outside their span."""
+        Given the first two, the v_i and sigma (length n + 1) have full rank
+        iff G is negative definite and sigma != 0: -G = V V^T is semidefinite,
+        so it is definite iff nonsingular iff the v_i are independent, and a
+        nonzero sigma orthogonal to every v_i lies outside their span."""
         s = self.sigma.entries
         if len(s) != gram.rank + 1 or len(self.vectors) != gram.rank or any(
             len(v) != len(s) for v in self.vectors
@@ -274,7 +247,7 @@ class Embedding:
             return False
         if self.gram() != gram:
             return False
-        return gram.determinant() != 0 and any(s)
+        return gram.is_negative_definite() and any(s)
 
 
 class _SearchFacts(NamedTuple):

@@ -25,18 +25,18 @@ assumption.
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import goeritz as _goeritz
 from . import lattice as _lattice
-from .numtheory import in_S, in_Sprime, square_root_mod
+from .numtheory import ResourceCapExceeded, in_S, in_Sprime, square_root_mod
 
 log = logging.getLogger("obstruct.manifolds")
+
+MAX_CENSUS_PRODUCT = 10**4  # largest census bound: 8,463 rows
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +142,6 @@ class Splice:
 
     def __str__(self) -> str:
         return f"splice({self.first},{self.second})"
-
-
-def slope_distance(r1: Fraction, r2: Fraction) -> int:
-    """Delta(p1/q1, p2/q2) = |p1 q2 - p2 q1|."""
-    r1, r2 = Fraction(r1), Fraction(r2)
-    return abs(r1.numerator * r2.denominator - r2.numerator * r1.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +422,6 @@ class SlopeFamily:
     pq: int
     qsq: int
 
-    def instantiate(self, m: int) -> tuple[Fraction, Lens]:
-        if m == 0:
-            raise ValueError("family parameter must be nonzero")
-        slope = self.pq + Fraction(1, m)
-        return slope, Lens(m * self.pq + 1, m * self.qsq)
-
     def __str__(self) -> str:
         return f"{self.pq} + 1/m (m != 0)"
 
@@ -631,37 +619,33 @@ class CensusRow:
     sigma: tuple[int, ...] | None
 
 
-def _census_row(pair: tuple[int, int]) -> CensusRow:
-    a, b = pair
+def _census_row(a: int, b: int) -> CensusRow:
     report = _changemaker_report(Splice.of(2 * a + 1, 2, 2 * b + 1, 2))
     log.debug("census row (%d,%d): n=%d %s", a, b, -report.slope, report.status)
     return CensusRow(a, b, -report.slope, report.status, report.sigma)
 
 
-def census_2odd(max_product: int = 341, jobs: int = 1) -> list[CensusRow]:
+def census_2odd(max_product: int = 341) -> list[CensusRow]:
     """Changemaker verdicts for every splice of (2, 2a+1) and (2, 2b+1)
     torus knot exteriors with 1 <= a <= b and (2a+1)(2b+1) <= max_product,
     at surgery slope -|H_1| = -(4(2a+1)(2b+1) - 1): the changemaker part of
     ``not_surgery_verdict(Splice.of(2a+1, 2, 2b+1, 2), with_changemaker=True)``.
 
-    Rows are sorted by (a, b); with jobs > 1 rows are evaluated in parallel,
-    by at most one worker process per CPU, and merged back in order, so the
-    output is schedule-independent.
+    Rows are built in one process, sorted by (a, b).  A bound above
+    ``MAX_CENSUS_PRODUCT`` raises ResourceCapExceeded before any row is built.
     """
     if max_product < 1:
         raise ValueError(f"need max_product >= 1, got {max_product}")
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
-    pairs = []
+    if max_product > MAX_CENSUS_PRODUCT:
+        raise ResourceCapExceeded(
+            f"max_product {max_product} exceeds MAX_CENSUS_PRODUCT = {MAX_CENSUS_PRODUCT}"
+        )
+    rows = []
     a = 1
     while (2 * a + 1) * (2 * a + 1) <= max_product:
         b = a
         while (2 * a + 1) * (2 * b + 1) <= max_product:
-            pairs.append((a, b))
+            rows.append(_census_row(a, b))
             b += 1
         a += 1
-    workers = min(jobs, os.cpu_count() or 1, len(pairs))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_census_row, pairs))
-    return [_census_row(pair) for pair in pairs]
+    return rows

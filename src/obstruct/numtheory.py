@@ -351,11 +351,6 @@ def square_root_mod(a: int, n: int) -> int | None:
     return min(x, (n - x) % n)
 
 
-def is_square_mod(a: int, n: int) -> bool:
-    """True iff a is a perfect square modulo n >= 1."""
-    return square_root_mod(a, n) is not None
-
-
 @lru_cache(maxsize=4096)
 def _chi_8m_cached(a: int, m: int, cap: int) -> int:
     mod = 8 * m

@@ -82,15 +82,3 @@ def irrep_witness(l: int, m: int, p: int) -> IrrepWitness | None:
     assert w.phi_over_pi == Fraction(1, 2) + Fraction(1, 2 * d)
     return w
 
-
-def small_sfs_su2_abelian(orders, h1_even_or_infinite: bool) -> bool:
-    """Whether a small Seifert fibered space over S^2 with the given singular
-    fiber orders (and which is not a lens space) has only abelian SU(2)
-    representations: true exactly for base orbifold S^2(2,4,4), and for
-    S^2(3,3,3) when |H_1| is even or infinite."""
-    key = tuple(sorted(int(x) for x in orders))
-    if len(key) != 3 or key[0] < 1:
-        raise ValueError(f"need three positive orders, got {orders!r}")
-    if key == (2, 4, 4):
-        return True
-    return key == (3, 3, 3) and h1_even_or_infinite

@@ -278,6 +278,29 @@ def test_density_k_cap_exit_3(capsys):
         assert err.startswith("resource cap: ") and "MAX_RESIDUE_K = 10000" in err
 
 
+def test_density_bound_too_long_exit_3(capsys):
+    from obstruct import cli
+
+    assert cli.main(["density", "--set", "Sk:1000", "--limit", "10", "--bound"]) == 0
+    assert '"product_bound": "' in capsys.readouterr().out
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("int-to-str conversion has no digit limit")
+    # k = 1200 is valid input, but its exact bound has too many digits to print
+    assert cli.main(["density", "--set", "Sk:1200", "--limit", "10", "--bound"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource cap: ") and "Sk:1200" in err
+
+
+def test_census_product_cap_exit_3(capsys):
+    from obstruct import cli
+
+    assert cli.main(["census-2odd", "--max-product", "10001"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource cap: ") and "MAX_CENSUS_PRODUCT = 10000" in err
+
+
 # ---------------------------------------------------------------------------
 # golden reports: the README examples, byte for byte
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from obstruct import manifolds as mf
-from obstruct.numtheory import is_square_mod
+from obstruct.numtheory import ResourceCapExceeded, square_root_mod
 
 # ---------------------------------------------------------------------------
 # torus knots
@@ -128,7 +128,9 @@ def test_residue_agreement_small_indices():
         n = y.h1_order()
         for sign in (+1, -1):
             ob = mf.integral_obstruction(y, sign)
-            assert is_square_mod(ob.residue_ab, n) == is_square_mod(ob.residue_cd, n)
+            assert (square_root_mod(ob.residue_ab, n) is None) == (
+                square_root_mod(ob.residue_cd, n) is None
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +306,10 @@ def test_torus_knot_surgery_rejects_trivial():
         mf.torus_knot_surgery(1, 5, 3)
 
 
-def test_slope_distance():
-    assert mf.slope_distance(Fraction(13, 2), 6) == 1
-    assert mf.slope_distance(Fraction(1, 2), Fraction(1, 2)) == 0
-    assert mf.slope_distance(Fraction(3, 1), Fraction(5, 1)) == 2
-    assert mf.slope_distance(Fraction(37, 2), 18) == 1
-
-
 def test_cable_depth_one():
     rows = mf.cable_su2_cyclic_slopes(mf.IteratedTorusKnot((2, 3)))
     assert rows[0].family is not None and rows[0].family.pq == 6
-    slope, lens = rows[0].family.instantiate(1)
-    assert slope == 7 and lens == mf.Lens(7, 9)
+    assert mf.torus_knot_surgery(2, 3, 6 + Fraction(1, 1)) == mf.Lens(7, 9)
     assert rows[1].slope == 6
     assert rows[1].manifold == mf.ConnectedSum((mf.Lens(2, 3), mf.Lens(3, 2)))
     # no reducible slope when neither index is +/-2
@@ -360,8 +354,12 @@ def test_cable_h1_consistency():
             base = mf.IteratedTorusKnot((p, q))
             for row in mf.cable_su2_cyclic_slopes(base):
                 if row.family is not None:
+                    # the family pq + 1/m is L(m*pq+1, m*q^2), as the cable report prints
+                    pq, qsq = row.family.pq, row.family.qsq
                     for m in (-3, -2, -1, 1, 2, 3):
-                        slope, lens = row.family.instantiate(m)
+                        slope = pq + Fraction(1, m)
+                        lens = mf.torus_knot_surgery(p, q, slope)
+                        assert lens == mf.Lens(m * pq + 1, m * qsq)
                         assert lens.h1_order() == abs(slope.numerator)
                 else:
                     assert row.manifold.h1_order() == abs(row.slope.numerator)
@@ -439,48 +437,23 @@ def test_census_small_bounds():
 
 
 def test_census_rows_sorted_and_jobs_agree():
-    rows1 = mf.census_2odd(60)
-    assert [(r.a, r.b) for r in rows1] == sorted((r.a, r.b) for r in rows1)
-    rows2 = mf.census_2odd(60, jobs=2)
-    assert rows1 == rows2
-
-
-def test_census_jobs_clamped_to_cpus_and_rows(monkeypatch):
-    created = []
-
-    class RecordingPool:
-        """Stands in for the process pool: records its size, maps in-process."""
-
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(mf.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(mf.os, "cpu_count", lambda: 3)
-    rows = mf.census_2odd(60, jobs=100_000)  # 14 pairs
-    assert created == [3]
+    rows = mf.census_2odd(60)
+    assert [(r.a, r.b) for r in rows] == sorted((r.a, r.b) for r in rows)
+    pairs = {(a, b) for a in range(1, 4) for b in range(a, 30) if (2 * a + 1) * (2 * b + 1) <= 60}
+    assert {(r.a, r.b) for r in rows} == pairs
     assert rows == mf.census_2odd(60)
-    assert mf.census_2odd(9, jobs=8) == mf.census_2odd(9)  # one pair: no pool
-    monkeypatch.setattr(mf.os, "cpu_count", lambda: None)
-    mf.census_2odd(60, jobs=4)
-    assert created == [3]
-
-
-def test_census_rejects_nonpositive_jobs():
-    for jobs in (0, -1):
-        with pytest.raises(ValueError):
-            mf.census_2odd(60, jobs=jobs)
 
 
 def test_census_rejects_nonpositive_max_product():
     for max_product in (0, -9):
         with pytest.raises(ValueError, match="max_product"):
             mf.census_2odd(max_product)
+
+
+def test_census_product_cap(monkeypatch):
+    def no_rows(a, b):
+        raise AssertionError("the cap is checked before any row is built")
+
+    monkeypatch.setattr(mf, "_census_row", no_rows)
+    with pytest.raises(ResourceCapExceeded, match="MAX_CENSUS_PRODUCT"):
+        mf.census_2odd(mf.MAX_CENSUS_PRODUCT + 1)
