@@ -48,7 +48,6 @@ from .manifolds import (
 )
 from .numtheory import (
     Factorization,
-    PrimeSearchCapExceeded,
     ResidueSet,
     ResourceCapExceeded,
     chi_8m,
@@ -76,7 +75,6 @@ __all__ = [
     "GramMatrix",
     "IrrepWitness",
     "IteratedTorusKnot",
-    "PrimeSearchCapExceeded",
     "ResidueSet",
     "ResourceCapExceeded",
     "Splice",

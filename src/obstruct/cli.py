@@ -242,8 +242,6 @@ def _cmd_density(args) -> tuple[dict, list[str]]:
     }
     pretty = [f"|{rset.name()} ∩ [1..{args.limit}]| / {args.limit} = {dens}"]
     if args.bound:
-        if rset.kind not in ("Sk", "Tk"):
-            raise ValueError("--bound applies only to Sk:k / Tk:k sets")
         bound = numtheory.product_bound(rset.kind, rset.k)
         try:
             result["product_bound"] = frac(bound)
@@ -385,7 +383,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         result, pretty = args.handler(args)
-    except (ValueError, OverflowError, KeyError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except numtheory.ResourceCapExceeded as exc:

@@ -65,33 +65,25 @@ class CheckerboardGraph:
         return len(seen) == self.vertex_count
 
 
-def goeritz_matrix(graph: CheckerboardGraph, basepoint: int = 0) -> GramMatrix:
-    """Goeritz matrix over the non-basepoint vertices: diagonal -deg(v_i),
-    off-diagonal the number of edges between v_i and v_j."""
-    if not (0 <= basepoint < graph.vertex_count):
-        raise ValueError(f"basepoint {basepoint} is not a vertex")
-    keep = [v for v in range(graph.vertex_count) if v != basepoint]
-    idx = {v: i for i, v in enumerate(keep)}
-    n = len(keep)
+def goeritz_matrix(graph: CheckerboardGraph) -> GramMatrix:
+    """Goeritz matrix with basepoint vertex 0 deleted: row i - 1 belongs to
+    vertex i, with diagonal -deg(v_i) and off-diagonal the number of edges
+    between v_i and v_j."""
+    n = graph.vertex_count - 1
     rows = [[0] * n for _ in range(n)]
-    for u, v in graph.edges:
-        i, j = idx.get(u), idx.get(v)
-        if i is not None:
-            rows[i][i] -= 1
-        if j is not None:
-            rows[j][j] -= 1
-        if i is not None and j is not None:
-            rows[i][j] += 1
-            rows[j][i] += 1
+    for u, v in graph.edges:  # sorted pairs without loops, so u < v
+        rows[v - 1][v - 1] -= 1
+        if u:
+            rows[u - 1][u - 1] -= 1
+            rows[u - 1][v - 1] += 1
+            rows[v - 1][u - 1] += 1
     return GramMatrix.from_rows(rows)
 
 
 def det_h1_order(gram: GramMatrix) -> int:
-    """|det G|, the order of the homology group the matrix presents."""
-    d = abs(gram.determinant())
-    if d == 0:
-        raise ValueError("matrix is singular")
-    return d
+    """|det G|, the order of the homology group the matrix presents.  Raises
+    ValueError unless G is negative definite."""
+    return abs(gram.determinant())
 
 
 def l35_white_graph() -> CheckerboardGraph:

@@ -125,20 +125,16 @@ class Splice:
     def swapped(self) -> "Splice":
         return Splice(self.second, self.first)
 
-    def canonical_key(self, oriented: bool = True) -> tuple:
-        keys = [
+    def _key(self) -> tuple:
+        return min(
             ((y.first.p, y.first.q), (y.second.p, y.second.q))
-            for y in ((self, self.swapped()) if oriented
-                      else (self, self.swapped(), self.mirror(), self.mirror().swapped()))
-        ]
-        return min(keys)
-
-    def is_equivalent(self, other: "Splice", mirror: bool = True) -> bool:
-        """Equality up to factor swap and the torus-knot identities, and up
-        to global mirror unless ``mirror`` is False."""
-        return self.canonical_key(oriented=not mirror) == other.canonical_key(
-            oriented=not mirror
+            for y in (self, self.swapped(), self.mirror(), self.mirror().swapped())
         )
+
+    def is_equivalent(self, other: "Splice") -> bool:
+        """Equality up to factor swap, global mirror and the torus-knot
+        identities."""
+        return self._key() == other._key()
 
     def __str__(self) -> str:
         return f"splice({self.first},{self.second})"
@@ -625,7 +621,7 @@ def _census_row(a: int, b: int) -> CensusRow:
     return CensusRow(a, b, -report.slope, report.status, report.sigma)
 
 
-def census_2odd(max_product: int = 341) -> list[CensusRow]:
+def census_2odd(max_product: int) -> list[CensusRow]:
     """Changemaker verdicts for every splice of (2, 2a+1) and (2, 2b+1)
     torus knot exteriors with 1 <= a <= b and (2a+1)(2b+1) <= max_product,
     at surgery slope -|H_1| = -(4(2a+1)(2b+1) - 1): the changemaker part of

@@ -39,9 +39,9 @@ MAX_INPUT = 2**63 - 1
 # through Miller-Rabin / Pollard rho.
 _TRIAL_LIMIT = 1000
 
-# Candidate primes p = a, a + 8m, ... for chi_8m are searched up to this cap
-# by default.  Dirichlet guarantees one exists but gives no effective bound.
-DEFAULT_PRIME_SEARCH_CAP = 10**7
+# Candidate primes p = a, a + 8m, ... for chi_8m are searched up to this
+# bound.  Dirichlet guarantees one exists but gives no effective bound.
+MAX_PRIME_SEARCH = 10**7
 
 # density() sieves an array of about limit bytes, so its limit is capped.
 MAX_DENSITY_LIMIT = 10**8
@@ -58,13 +58,9 @@ class ResourceCapExceeded(RuntimeError):
     """An input would take a computation past one of its fixed caps."""
 
 
-class PrimeSearchCapExceeded(ResourceCapExceeded):
-    """No prime found in the arithmetic progression below the search cap."""
-
-
-def _check_width(n: int, what: str = "argument") -> None:
+def _check_width(n: int) -> None:
     if abs(n) > MAX_INPUT:
-        raise OverflowError(f"{what} {n} exceeds the supported 64-bit range")
+        raise OverflowError(f"argument {n} exceeds the supported 64-bit range")
 
 
 def _clear(flags: bytearray, start: int, step: int) -> None:
@@ -142,8 +138,6 @@ def _pollard_rho(n: int) -> int:
 
     Deterministic: the polynomial offsets c = 1, 2, ... are tried in order.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 10**6):
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
@@ -352,20 +346,20 @@ def square_root_mod(a: int, n: int) -> int | None:
 
 
 @lru_cache(maxsize=4096)
-def _chi_8m_cached(a: int, m: int, cap: int) -> int:
+def _chi_8m_cached(a: int, m: int) -> int:
     mod = 8 * m
     p = a
-    while p <= cap:
+    while p <= MAX_PRIME_SEARCH:
         if p > 1 and (2 * m) % p != 0 and is_prime(p):
             # Euler's criterion; p is an odd prime not dividing 2m
             return 1 if pow(2 * m % p, (p - 1) // 2, p) == 1 else -1
         p += mod
-    raise PrimeSearchCapExceeded(
-        f"no prime congruent to {a} mod {mod} found below {cap}"
+    raise ResourceCapExceeded(
+        f"no prime congruent to {a} mod {mod} found below {MAX_PRIME_SEARCH}"
     )
 
 
-def chi_8m(a: int, m: int, cap: int = DEFAULT_PRIME_SEARCH_CAP) -> int:
+def chi_8m(a: int, m: int) -> int:
     """The real character a -> (2m / p) on units mod 8m, for odd m >= 1.
 
     Here p is the smallest prime congruent to a mod 8m (not dividing 2m); the
@@ -378,7 +372,7 @@ def chi_8m(a: int, m: int, cap: int = DEFAULT_PRIME_SEARCH_CAP) -> int:
     a %= 8 * m
     if gcd(a, 8 * m) != 1:
         raise ValueError(f"{a} is not a unit mod {8 * m}")
-    return _chi_8m_cached(a, m, cap)
+    return _chi_8m_cached(a, m)
 
 
 def _odd_divisors_one_mod(d: int, modulus: int) -> bool:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -190,6 +191,7 @@ def test_density_commands():
 
     proc = run_cli("density", "--set", "S", "--limit", "10", "--bound")
     assert proc.returncode == 2
+    assert "product bound is defined for Sk/Tk, not 'S'" in proc.stderr
     proc = run_cli("density", "--set", "bogus", "--limit", "10")
     assert proc.returncode == 2
 
@@ -242,12 +244,23 @@ def test_resource_cap_exit_3(monkeypatch, capsys):
     from obstruct import cli, numtheory
 
     def blow_up(rset, limit):
-        raise numtheory.PrimeSearchCapExceeded("search cap reached")
+        raise numtheory.ResourceCapExceeded("search cap reached")
 
     monkeypatch.setattr(numtheory, "density", blow_up)
     rc = cli.main(["density", "--set", "S", "--limit", "10"])
     assert rc == 3
     assert "resource cap" in capsys.readouterr().err
+
+
+def test_handler_key_error_propagates(monkeypatch):
+    from obstruct import cli, numtheory
+
+    def buggy(rset, limit):
+        raise KeyError("a bug, not invalid input")
+
+    monkeypatch.setattr(numtheory, "density", buggy)
+    with pytest.raises(KeyError):
+        cli.main(["density", "--set", "S", "--limit", "10"])
 
 
 def test_density_limit_cap_exit_3(capsys):
@@ -359,3 +372,14 @@ def test_locked_report_bytes(name, argv, capsys):
     captured = capsys.readouterr()
     assert captured.out.encode() == (LOCKED / f"{name}.out").read_bytes()
     assert captured.err.encode() == (LOCKED / f"{name}.err").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the README's Library block, run as written
+
+
+def test_readme_library_block():
+    blocks = re.findall(r"^```python\n(.*?)^```$", (REPO / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

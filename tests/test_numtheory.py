@@ -210,8 +210,16 @@ def test_chi_8m_domain_errors():
         nt.chi_8m(3, 2)  # m even
     with pytest.raises(ValueError):
         nt.chi_8m(6, 3)  # gcd(6, 24) != 1
-    with pytest.raises(nt.PrimeSearchCapExceeded):
-        nt.chi_8m(1, 1, cap=10)  # smallest prime 1 mod 8 is 17
+
+
+def test_chi_8m_prime_search_cap(monkeypatch):
+    monkeypatch.setattr(nt, "MAX_PRIME_SEARCH", 10)
+    nt._chi_8m_cached.cache_clear()
+    try:
+        with pytest.raises(nt.ResourceCapExceeded):
+            nt.chi_8m(1, 1)  # smallest prime 1 mod 8 is 17
+    finally:
+        nt._chi_8m_cached.cache_clear()
 
 
 def test_2m_not_square_mod_4mn_minus_1_sample():
@@ -344,7 +352,6 @@ def test_density_limit_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # refused before the sieve's array is allocated
-    assert issubclass(nt.PrimeSearchCapExceeded, nt.ResourceCapExceeded)
 
 
 def test_residue_k_cap(monkeypatch):
