@@ -5,7 +5,8 @@ sorted keys, rationals as canonical "p/q" strings), so runs are byte-identical
 for identical inputs; a human-readable summary goes to stderr with --pretty.
 Exit codes: 0 = evaluated, 2 = invalid input, 3 = a resource cap was hit.
 
-The environment variable OBSTRUCT_LOG selects the logging level by name.
+The environment variable OBSTRUCT_LOG selects the logging level by name;
+a name that is not a level selects INFO.
 """
 
 from __future__ import annotations
@@ -375,9 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("OBSTRUCT_LOG")
-    if level:
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
+    name = os.environ.get("OBSTRUCT_LOG")
+    if name:
+        level = getattr(logging, name.upper(), None)  # may be no level, as BASIC_FORMAT
+        logging.basicConfig(level=level if type(level) is int else logging.INFO)
     ap = build_parser()
     args = ap.parse_args(argv)
     started = time.monotonic()

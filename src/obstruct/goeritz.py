@@ -19,32 +19,29 @@ Two builtin diagram families are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .lattice import GramMatrix
 
 
-@dataclass(frozen=True)
-class CheckerboardGraph:
+class CheckerboardGraph(Record):
     """A connected loop-free multigraph on vertices 0..vertex_count-1.
 
     Edges are stored as a sorted tuple of ordered pairs; multiplicity is
     given by repetition.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("vertex_count", "edges")
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> None:
+        if vertex_count < 1:
             raise ValueError("need at least one vertex")
-        norm = tuple(sorted(tuple(sorted(e)) for e in self.edges))
-        object.__setattr__(self, "edges", norm)
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+        edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+        for u, v in edges:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if u == v:
                 raise ValueError(f"loop at vertex {u}: diagram is not reduced")
+        self._set(vertex_count, edges)
         if not self._connected():
             raise ValueError("checkerboard graph must be connected")
 

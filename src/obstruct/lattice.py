@@ -20,26 +20,27 @@ determinant, so pivoting is never needed.  No floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt, lcm
 from typing import Iterator, NamedTuple
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class GramMatrix:
+
+class GramMatrix(Record):
     """A symmetric integer matrix, usually negative definite."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        n = len(entries)
+        if any(len(row) != n for row in entries):
             raise ValueError("Gram matrix must be square")
         for i in range(n):
             for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
+                if entries[i][j] != entries[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        self._set(entries)
 
     @staticmethod
     def from_rows(rows) -> "GramMatrix":
@@ -97,13 +98,13 @@ def is_changemaker(entries) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Changemaker:
-    entries: tuple[int, ...]
+class Changemaker(Record):
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        if not is_changemaker(self.entries):
-            raise ValueError(f"{self.entries} is not a changemaker")
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        if not is_changemaker(entries):
+            raise ValueError(f"{entries} is not a changemaker")
+        self._set(entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -210,8 +211,7 @@ def _changemakers(
     yield from rec(0, 0, norm, 0, 0)
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """An embedding of a rank-n Gram lattice into the complement of sigma
     inside the standard negative-definite lattice of rank n + 1.
 
@@ -220,8 +220,10 @@ class Embedding:
     pairing <x, y> = -sum(x_k * y_k).
     """
 
-    sigma: Changemaker
-    vectors: tuple[tuple[int, ...], ...]
+    __slots__ = ("sigma", "vectors")
+
+    def __init__(self, sigma: Changemaker, vectors: tuple[tuple[int, ...], ...]) -> None:
+        self._set(sigma, vectors)
 
     def gram(self) -> GramMatrix:
         return GramMatrix.from_rows(
@@ -476,12 +478,16 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     return next(iter_embeddings(gram, sigma), None)
 
 
-@dataclass(frozen=True)
-class ObstructionResult:
-    """Outcome of the changemaker obstruction for a Gram matrix at norm p."""
+class ObstructionResult(Record):
+    """Outcome of the changemaker obstruction for a Gram matrix at norm p.
 
-    status: str  # "obstructed" or "witness"
-    witnesses: tuple[Embedding, ...]
+    Not a tuple: the benchmark tells a traced (result, counts) pair from a
+    result by ``isinstance(output, tuple)``."""
+
+    __slots__ = ("status", "witnesses")
+
+    def __init__(self, status: str, witnesses: tuple[Embedding, ...]) -> None:
+        self._set(status, witnesses)  # status: "obstructed" or "witness"
 
     @property
     def obstructed(self) -> bool:

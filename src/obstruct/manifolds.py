@@ -29,9 +29,11 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import goeritz as _goeritz
 from . import lattice as _lattice
+from ._record import Record
 from .numtheory import ResourceCapExceeded, in_S, in_Sprime, square_root_mod
 
 log = logging.getLogger("obstruct.manifolds")
@@ -43,8 +45,7 @@ MAX_CENSUS_PRODUCT = 10**4  # largest census bound: 8,463 rows
 # torus knots and splices
 
 
-@dataclass(frozen=True)
-class TorusKnot:
+class TorusKnot(Record):
     """A torus knot, stored in canonical form.
 
     Nontrivial knots satisfy |p| > q >= 2 after using T(p,q) = T(q,p) =
@@ -52,11 +53,9 @@ class TorusKnot:
     normalizes to (1, 1) and is flagged by ``is_trivial``.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        p, q = self.p, self.q
+    def __init__(self, p: int, q: int) -> None:
         if gcd(abs(p), abs(q)) != 1:
             raise ValueError(f"torus knot indices must be coprime: ({p}, {q})")
         if min(abs(p), abs(q)) <= 1:
@@ -66,8 +65,7 @@ class TorusKnot:
                 p, q = q, p
             if q < 0:
                 p, q = -p, -q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        self._set(p, q)
 
     @property
     def is_trivial(self) -> bool:
@@ -89,17 +87,16 @@ class TorusKnot:
         return f"T({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class Splice:
+class Splice(Record):
     """The union of two nontrivial torus knot exteriors glued meridian to
     Seifert fiber both ways."""
 
-    first: TorusKnot
-    second: TorusKnot
+    __slots__ = ("first", "second")
 
-    def __post_init__(self) -> None:
-        if self.first.is_trivial or self.second.is_trivial:
+    def __init__(self, first: TorusKnot, second: TorusKnot) -> None:
+        if first.is_trivial or second.is_trivial:
             raise ValueError("both torus knots must be nontrivial")
+        self._set(first, second)
 
     @staticmethod
     def of(a: int, b: int, c: int, d: int) -> "Splice":
@@ -144,8 +141,7 @@ class Splice:
 # integral obstruction (linking form residues)
 
 
-@dataclass(frozen=True)
-class IntegralObstruction:
+class IntegralObstruction(NamedTuple):
     """Residue test for realizing the splice by surgery of slope sign * n,
     n = |H_1|.  The tested classes are sign * sgn(abcd-1) * ab (and cd); the
     slope is impossible unless both are squares mod n, and they are squares
@@ -190,8 +186,7 @@ def integral_obstruction(y: Splice, sign: int) -> IntegralObstruction:
 # Eudave-Munoz knots
 
 
-@dataclass(frozen=True)
-class EMKnot:
+class EMKnot(Record):
     """Parameters (l, m, n, p) of an Eudave-Munoz knot; n*p = 0 always.
 
     ``degenerate_warning`` flags parameter ranges (l in {-1,0,1} or m in
@@ -199,14 +194,12 @@ class EMKnot:
     sporadic exclusions are flagged rather than filtered.
     """
 
-    l: int
-    m: int
-    n: int
-    p: int
+    __slots__ = ("l", "m", "n", "p")
 
-    def __post_init__(self) -> None:
-        if self.n * self.p != 0:
+    def __init__(self, l: int, m: int, n: int, p: int) -> None:
+        if n * p != 0:
             raise ValueError("need n = 0 or p = 0")
+        self._set(l, m, n, p)
 
     @property
     def degenerate_warning(self) -> bool:
@@ -258,8 +251,7 @@ def em_splice_form(k: EMKnot) -> Splice | None:
 # non-integral classification
 
 
-@dataclass(frozen=True)
-class NonintegralMatch:
+class NonintegralMatch(NamedTuple):
     """A match of the splice against +/- splice(T(l,lm-1), T(2,-(2m-1))):
     the manifold is the half-integral toroidal surgery on k(l, m, 0, 0)."""
 
@@ -304,20 +296,18 @@ def nonintegral_classification(y: Splice) -> NonintegralMatch | None:
 # torus knot surgeries and iterated cables
 
 
-@dataclass(frozen=True)
-class Lens:
+class Lens(Record):
     """The lens space of p/q-surgery on the unknot; parameters are kept as
     written (no normalization beyond a sign flip to make p nonnegative)."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.p < 0:
-            object.__setattr__(self, "p", -self.p)
-            object.__setattr__(self, "q", -self.q)
-        if self.p == 0:
+    def __init__(self, p: int, q: int) -> None:
+        if p < 0:
+            p, q = -p, -q
+        if p == 0:
             raise ValueError("lens space order must be nonzero")
+        self._set(p, q)
 
     def h1_order(self) -> int:
         return abs(self.p)
@@ -328,9 +318,11 @@ class Lens:
         return f"L({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class ConnectedSum:
-    summands: tuple[Lens, ...]
+class ConnectedSum(Record):
+    __slots__ = ("summands",)
+
+    def __init__(self, summands: tuple[Lens, ...]) -> None:
+        self._set(summands)
 
     def h1_order(self) -> int:
         out = 1
@@ -342,12 +334,13 @@ class ConnectedSum:
         return " # ".join(str(s) for s in self.summands)
 
 
-@dataclass(frozen=True)
-class SmallSFS:
+class SmallSFS(Record):
     """A Seifert fibered space over S^2 with three singular fibers."""
 
-    base_orders: tuple[int, int, int]
-    h1: int
+    __slots__ = ("base_orders", "h1")
+
+    def __init__(self, base_orders: tuple[int, int, int], h1: int) -> None:
+        self._set(base_orders, h1)
 
     def h1_order(self) -> int:
         return self.h1
@@ -382,22 +375,21 @@ def torus_knot_surgery(p: int, q: int, r) -> Lens | ConnectedSum | SmallSFS:
     return SmallSFS((abs(p), abs(q), delta), abs(num))
 
 
-@dataclass(frozen=True)
-class IteratedTorusKnot:
+class IteratedTorusKnot(Record):
     """An iterated cable of a torus knot: cables[i] = (m, n) is applied in
     order, innermost first, with n >= 2 and gcd(m, n) = 1 throughout; the
     base must have |p| >= 2 and q >= 2."""
 
-    base: tuple[int, int]
-    cables: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("base", "cables")
 
-    def __post_init__(self) -> None:
-        p, q = self.base
+    def __init__(self, base: tuple[int, int], cables: tuple[tuple[int, int], ...] = ()) -> None:
+        p, q = base
         if gcd(abs(p), abs(q)) != 1 or abs(p) < 2 or q < 2:
             raise ValueError(f"invalid base torus knot ({p}, {q})")
-        for m, n in self.cables:
+        for m, n in cables:
             if gcd(abs(m), abs(n)) != 1 or n < 2:
                 raise ValueError(f"invalid cable ({m}, {n})")
+        self._set(base, cables)
 
     @property
     def depth(self) -> int:
@@ -410,20 +402,20 @@ class IteratedTorusKnot:
         return out
 
 
-@dataclass(frozen=True)
-class SlopeFamily:
+class SlopeFamily(Record):
     """The one-parameter family of slopes pq + 1/m (m != 0) on a torus knot
     T(p, q), whose surgeries are the lens spaces L(mpq+1, mq^2)."""
 
-    pq: int
-    qsq: int
+    __slots__ = ("pq", "qsq")
+
+    def __init__(self, pq: int, qsq: int) -> None:
+        self._set(pq, qsq)
 
     def __str__(self) -> str:
         return f"{self.pq} + 1/m (m != 0)"
 
 
-@dataclass(frozen=True)
-class CableSlope:
+class CableSlope(NamedTuple):
     """One SU(2)-cyclic slope entry: either a fixed slope with its surgery
     description, or the parametric lens-space family."""
 
@@ -470,8 +462,7 @@ def cable_su2_cyclic_slopes(knot: IteratedTorusKnot) -> tuple[CableSlope, ...]:
 # the full "is it a surgery?" verdict
 
 
-@dataclass(frozen=True)
-class ShortcutReport:
+class ShortcutReport(NamedTuple):
     """Residue-set shortcut for the two special splice shapes."""
 
     shape: str  # "opposite-mirror-pair" for (T(a,b), T(-a,b)); "equal-pair"
@@ -481,8 +472,7 @@ class ShortcutReport:
     indices_exceed_2: bool | None  # the opposite-mirror argument needs a, b > 2
 
 
-@dataclass(frozen=True)
-class ChangemakerReport:
+class ChangemakerReport(NamedTuple):
     status: str  # "witness", "obstructed", or "no-form-available"
     form_name: str | None = None
     slope: int | None = None
@@ -490,6 +480,8 @@ class ChangemakerReport:
     vectors: tuple[tuple[int, ...], ...] | None = None
 
 
+# The one dataclass left, though decorating it costs about 1 ms at import:
+# bench/test_bench.py rebuilds verdicts with dataclasses.replace.
 @dataclass(frozen=True)
 class SpliceVerdict:
     splice: Splice
@@ -606,8 +598,7 @@ def not_surgery_verdict(y: Splice, with_changemaker: bool = False) -> SpliceVerd
 # census of the (2, odd)-(2, odd) splices
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     a: int
     b: int
     n: int

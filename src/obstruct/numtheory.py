@@ -27,11 +27,12 @@ chi_8m table is memoized but immutable once built, so concurrent use is safe.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
+
+from ._record import Record
 
 MAX_INPUT = 2**63 - 1
 
@@ -164,25 +165,24 @@ def _pollard_rho(n: int) -> int:
     raise RuntimeError(f"pollard rho failed on {n}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """A complete prime factorization: value == prod(p**e)."""
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("value", "factors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]) -> None:
         prod = 1
         prev = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev or e < 1:
                 raise ValueError("factors must be ascending primes with e >= 1")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prod *= p**e
             prev = p
-        if prod != self.value:
+        if prod != value:
             raise ValueError("factor list does not multiply to the value")
+        self._set(value, factors)
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -442,8 +442,7 @@ def primes_in_class(k: int, residue: int, modulus: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ResidueSet:
+class ResidueSet(Record):
     """One of the residue-condition sets S, Sprime, Sk(k) or Tk(k).
 
     ``Sk(k)`` keeps n with n^2 != -1 mod p for each of the first k primes
@@ -452,22 +451,22 @@ class ResidueSet:
     k above ``MAX_RESIDUE_K`` raises :class:`ResourceCapExceeded`.
     """
 
-    kind: str
-    k: int | None = None
+    __slots__ = ("kind", "k")
 
-    def __post_init__(self) -> None:
-        if self.kind in ("S", "Sprime"):
-            if self.k is not None:
-                raise ValueError(f"{self.kind} takes no parameter")
-        elif self.kind in ("Sk", "Tk"):
-            if self.k is None or self.k < 0:
-                raise ValueError(f"{self.kind} needs k >= 0")
-            if self.k > MAX_RESIDUE_K:
+    def __init__(self, kind: str, k: int | None = None) -> None:
+        if kind in ("S", "Sprime"):
+            if k is not None:
+                raise ValueError(f"{kind} takes no parameter")
+        elif kind in ("Sk", "Tk"):
+            if k is None or k < 0:
+                raise ValueError(f"{kind} needs k >= 0")
+            if k > MAX_RESIDUE_K:
                 raise ResourceCapExceeded(
-                    f"{self.kind} k = {self.k} exceeds MAX_RESIDUE_K = {MAX_RESIDUE_K}"
+                    f"{kind} k = {k} exceeds MAX_RESIDUE_K = {MAX_RESIDUE_K}"
                 )
         else:
-            raise ValueError(f"unknown residue set kind {self.kind!r}")
+            raise ValueError(f"unknown residue set kind {kind!r}")
+        self._set(kind, k)
 
     @staticmethod
     def parse(token: str) -> "ResidueSet":

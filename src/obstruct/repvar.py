@@ -20,9 +20,9 @@ and every comparison is an exact rational inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 
 def x1_singular_orders(l: int, m: int, p: int) -> tuple[int, int]:
@@ -31,8 +31,7 @@ def x1_singular_orders(l: int, m: int, p: int) -> tuple[int, int]:
     return abs(l), abs((1 - l * m) * (2 * p - 1) + p * l)
 
 
-@dataclass(frozen=True)
-class IrrepWitness:
+class IrrepWitness(NamedTuple):
     """Data certifying an irreducible SU(2) representation.
 
     g = gcd(l, 2p-1); d = |2p-1|/g (odd, >= 3); a = |l|/g, coprime to d;

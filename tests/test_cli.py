@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -171,6 +172,15 @@ def test_em_degenerate_m_still_evaluates():
     assert rep["result"]["degenerate_warning"] is True
     assert rep["result"]["su2_cyclic"] is False
     assert rep["result"]["witness"] is None
+
+
+@pytest.mark.parametrize("log", ["basic_format", "bogus", "debug"])
+def test_obstruct_log_names_never_break_a_report(log):
+    # BASIC_FORMAT is a logging attribute but not a level: it falls back to INFO
+    proc = run_cli("em", "--l", "2", "--m", "2", "--n", "0", "--p", "0",
+                   env={**os.environ, "OBSTRUCT_LOG": log})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.encode() == (GOLDEN_CLI / "em-2-2-0-0.out").read_bytes()
 
 
 def test_density_commands():
