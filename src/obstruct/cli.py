@@ -31,12 +31,8 @@ def frac(x) -> str:
 def manifold_json(m) -> dict:
     if isinstance(m, manifolds.Lens):
         out = {"kind": "lens", "p": m.p, "q": m.q}
-    elif isinstance(m, manifolds.ConnectedSum):
+    else:  # the cable family's only other result, a ConnectedSum
         out = {"kind": "connected-sum", "summands": [manifold_json(s) for s in m.summands]}
-    elif isinstance(m, manifolds.SmallSFS):
-        out = {"kind": "sfs", "base_orders": list(m.base_orders)}
-    else:
-        raise TypeError(f"unknown manifold description {m!r}")
     return {**out, "h1_order": m.h1_order(), "name": str(m)}
 
 
@@ -58,6 +54,15 @@ def _integral_json(ob: manifolds.IntegralObstruction) -> dict:
     }
 
 
+def _renamed(report, field: str, key: str) -> dict | None:
+    """The report's fields as a dict, with ``field`` written as ``key``."""
+    if report is None:
+        return None
+    out = report._asdict()
+    out[key] = out.pop(field)
+    return out
+
+
 def verdict_json(v: manifolds.SpliceVerdict) -> dict:
     out: dict = {
         "splice": splice_json(v.splice),
@@ -68,6 +73,8 @@ def verdict_json(v: manifolds.SpliceVerdict) -> dict:
             "plus": _integral_json(v.integral_plus),
             "minus": _integral_json(v.integral_minus),
         },
+        "shortcut": _renamed(v.shortcut, "set_name", "set"),
+        "changemaker": _renamed(v.changemaker, "form_name", "form"),
     }
     if v.nonintegral is None:
         out["nonintegral"] = None
@@ -80,28 +87,6 @@ def verdict_json(v: manifolds.SpliceVerdict) -> dict:
             "em_knot": [m.l, m.m, 0, 0],
             "em_slope": frac(m.em_slope),
             "slope": frac(m.slope_abs),
-        }
-    if v.shortcut is None:
-        out["shortcut"] = None
-    else:
-        s = v.shortcut
-        out["shortcut"] = {
-            "shape": s.shape,
-            "set": s.set_name,
-            "n": s.n,
-            "in_set": s.in_set,
-            "indices_exceed_2": s.indices_exceed_2,
-        }
-    if v.changemaker is None:
-        out["changemaker"] = None
-    else:
-        c = v.changemaker
-        out["changemaker"] = {
-            "status": c.status,
-            "form": c.form_name,
-            "slope": c.slope,
-            "sigma": list(c.sigma) if c.sigma else None,
-            "vectors": [list(w) for w in c.vectors] if c.vectors else None,
         }
     return out
 
@@ -134,16 +119,7 @@ def _cmd_census(args) -> tuple[dict, list[str]]:
     rows = manifolds.census_2odd(args.max_product)
     result = {
         "max_product": args.max_product,
-        "rows": [
-            {
-                "a": r.a,
-                "b": r.b,
-                "n": r.n,
-                "status": r.status,
-                "sigma": list(r.sigma) if r.sigma else None,
-            }
-            for r in rows
-        ],
+        "rows": [r._asdict() for r in rows],
         "witness_pairs": [[r.a, r.b] for r in rows if r.status == "witness"],
     }
     pretty = [f"{'a':>3} {'b':>3} {'n':>5}  verdict"]

@@ -20,8 +20,9 @@ limit bytes and refuses limits above ``MAX_DENSITY_LIMIT`` (10^8) with
 :class:`ResourceCapExceeded` before allocating anything.  ``in_S``,
 ``in_Sprime`` and ``ResidueSet.contains`` decide a single n.
 
-Inputs are restricted to signed 64-bit range.  All functions are pure; the
-chi_8m table is memoized but immutable once built, so concurrent use is safe.
+Inputs are restricted to signed 64-bit range.  All functions are pure;
+``factor`` is memoized, and its results are immutable, so concurrent use is
+safe.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt
 
 from ._record import Record
@@ -47,9 +48,11 @@ MAX_PRIME_SEARCH = 10**7
 # density() sieves an array of about limit bytes, so its limit is capped.
 MAX_DENSITY_LIMIT = 10**8
 
-# Sk(k) and Tk(k) find their first k primes by testing each integer in turn;
-# the largest k allowed takes about half a second.
+# Sk(k) and Tk(k) take their first k primes from a sieve whose bound doubles
+# from _FIRST_PRIME_LIMIT until it holds k of them; the largest k allowed
+# takes a few milliseconds, but its period and product bound are huge.
 MAX_RESIDUE_K = 10**4
+_FIRST_PRIME_LIMIT = 64
 
 # Segment length of the prime sieve and of the Sprime count, in bytes.
 _SEGMENT = 1 << 20
@@ -345,34 +348,27 @@ def square_root_mod(a: int, n: int) -> int | None:
     return min(x, (n - x) % n)
 
 
-@lru_cache(maxsize=4096)
-def _chi_8m_cached(a: int, m: int) -> int:
-    mod = 8 * m
-    p = a
-    while p <= MAX_PRIME_SEARCH:
-        if p > 1 and (2 * m) % p != 0 and is_prime(p):
-            # Euler's criterion; p is an odd prime not dividing 2m
-            return 1 if pow(2 * m % p, (p - 1) // 2, p) == 1 else -1
-        p += mod
-    raise ResourceCapExceeded(
-        f"no prime congruent to {a} mod {mod} found below {MAX_PRIME_SEARCH}"
-    )
-
-
 def chi_8m(a: int, m: int) -> int:
     """The real character a -> (2m / p) on units mod 8m, for odd m >= 1.
 
-    Here p is the smallest prime congruent to a mod 8m (not dividing 2m); the
-    value does not depend on which such prime is used, by quadratic
-    reciprocity, which is what makes this a well-defined character.
+    Here p is the smallest prime congruent to a mod 8m; it is odd and does
+    not divide 2m, since a is a unit.  The value does not depend on which
+    such prime is used, by quadratic reciprocity, which is what makes this a
+    well-defined character.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be an odd positive integer, got {m}")
     _check_width(a)
-    a %= 8 * m
-    if gcd(a, 8 * m) != 1:
-        raise ValueError(f"{a} is not a unit mod {8 * m}")
-    return _chi_8m_cached(a, m)
+    mod = 8 * m
+    a %= mod
+    if gcd(a, mod) != 1:
+        raise ValueError(f"{a} is not a unit mod {mod}")
+    for p in range(a, MAX_PRIME_SEARCH + 1, mod):
+        if is_prime(p):
+            return 1 if pow(2 * m % p, (p - 1) // 2, p) == 1 else -1  # Euler's criterion
+    raise ResourceCapExceeded(
+        f"no prime congruent to {a} mod {mod} found below {MAX_PRIME_SEARCH}"
+    )
 
 
 def _odd_divisors_one_mod(d: int, modulus: int) -> bool:
@@ -428,18 +424,16 @@ def in_Sprime(n: int) -> bool:
     return _odd_divisors_one_mod(n - 1, 4) or _odd_divisors_one_mod(n + 1, 4)
 
 
-@lru_cache(maxsize=16)
 def primes_in_class(k: int, residue: int, modulus: int) -> tuple[int, ...]:
     """The first k primes congruent to residue mod modulus."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out = []
-    p = 1
-    while len(out) < k:
-        p += 1
-        if p % modulus == residue and is_prime(p):
-            out.append(p)
-    return tuple(out)
+    limit = _FIRST_PRIME_LIMIT
+    while True:
+        primes = tuple(islice(_primes_upto(limit, residue, modulus), k))
+        if len(primes) == k:
+            return primes
+        limit *= 2
 
 
 class ResidueSet(Record):

@@ -201,10 +201,6 @@ def test_chi_8m_at_4m_minus_1():
         assert nt.chi_8m(4 * m - 1, m) == -1
 
 
-def test_chi_8m_cache_is_bounded():
-    assert nt._chi_8m_cached.cache_info().maxsize is not None
-
-
 def test_chi_8m_domain_errors():
     with pytest.raises(ValueError):
         nt.chi_8m(3, 2)  # m even
@@ -214,12 +210,8 @@ def test_chi_8m_domain_errors():
 
 def test_chi_8m_prime_search_cap(monkeypatch):
     monkeypatch.setattr(nt, "MAX_PRIME_SEARCH", 10)
-    nt._chi_8m_cached.cache_clear()
-    try:
-        with pytest.raises(nt.ResourceCapExceeded):
-            nt.chi_8m(1, 1)  # smallest prime 1 mod 8 is 17
-    finally:
-        nt._chi_8m_cached.cache_clear()
+    with pytest.raises(nt.ResourceCapExceeded):
+        nt.chi_8m(1, 1)  # smallest prime 1 mod 8 is 17
 
 
 def test_2m_not_square_mod_4mn_minus_1_sample():
@@ -300,9 +292,26 @@ def test_membership_shortcuts_small():
 # densities and product bounds
 
 
+def progression_primes(count, residue, modulus):
+    """The first count primes residue, residue + modulus, ...; the oracle for
+    primes_in_class(), which sieves."""
+    out = []
+    p = residue
+    while len(out) < count:
+        if nt.is_prime(p):
+            out.append(p)
+        p += modulus
+    return tuple(out)
+
+
 def test_class_prime_lists():
+    """Every k to 300, which covers k = 0 and each doubling of the sieve's bound."""
     assert nt.primes_in_class(5, 5, 8) == (5, 13, 29, 37, 53)
     assert nt.primes_in_class(5, 3, 4) == (3, 7, 11, 19, 23)
+    for residue, modulus in ((5, 8), (3, 4)):
+        oracle = progression_primes(300, residue, modulus)
+        for k in range(301):
+            assert nt.primes_in_class(k, residue, modulus) == oracle[:k], (residue, k)
 
 
 DENSITY_SETS = (
@@ -356,7 +365,7 @@ def test_density_limit_cap():
 
 def test_residue_k_cap(monkeypatch):
     """k above MAX_RESIDUE_K is refused when the set is built, before any
-    prime search; the prime lists are kept in a bounded cache."""
+    prime search."""
 
     def no_search(*args):
         raise AssertionError("prime search started")
@@ -368,8 +377,6 @@ def test_residue_k_cap(monkeypatch):
             nt.ResidueSet(kind, nt.MAX_RESIDUE_K + 1)
         with pytest.raises(nt.ResourceCapExceeded, match="MAX_RESIDUE_K"):
             nt.ResidueSet.parse(f"{kind}:{nt.MAX_RESIDUE_K + 1}")
-    monkeypatch.undo()
-    assert nt.primes_in_class.cache_info().maxsize is not None
 
 
 def test_product_bound_examples():
