@@ -44,13 +44,11 @@ from .manifolds import (
     integral_obstruction,
     nonintegral_classification,
     not_surgery_verdict,
-    torus_knot_surgery,
 )
 from .numtheory import (
     Factorization,
     ResidueSet,
     ResourceCapExceeded,
-    chi_8m,
     density,
     factor,
     in_S,
@@ -83,7 +81,6 @@ __all__ = [
     "census_2odd",
     "changemaker_max_norm",
     "changemaker_obstruction",
-    "chi_8m",
     "density",
     "det_h1_order",
     "em_slope",
@@ -109,6 +106,5 @@ __all__ = [
     "parse_gram_text",
     "product_bound",
     "square_root_mod",
-    "torus_knot_surgery",
     "x1_singular_orders",
 ]

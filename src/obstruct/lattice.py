@@ -25,6 +25,10 @@ from math import comb, isqrt, lcm
 from typing import Iterator, NamedTuple
 
 from ._record import Record
+from .numtheory import ResourceCapExceeded
+
+# _changemakers recurses once per entry; Python's default recursion limit is 1000
+MAX_CHANGEMAKER_LENGTH = 512
 
 
 class GramMatrix(Record):
@@ -125,10 +129,19 @@ def changemaker_max_norm(length: int) -> int:
 
 def enumerate_changemakers(length: int, norm: int) -> list[Changemaker]:
     """All changemakers of the given length with squared norm exactly `norm`,
-    in lexicographic order.  Empty when norm exceeds the doubling bound."""
+    in lexicographic order.  Empty when norm exceeds the doubling bound;
+    ResourceCapExceeded for a length above ``MAX_CHANGEMAKER_LENGTH``."""
+    _check_length(length)
     if length < 1 or norm < 1:
         raise ValueError("need length >= 1 and norm >= 1")
     return [Changemaker(s) for s in _changemakers(length, norm)]
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_CHANGEMAKER_LENGTH:
+        raise ResourceCapExceeded(
+            f"changemaker length {length} exceeds MAX_CHANGEMAKER_LENGTH = {MAX_CHANGEMAKER_LENGTH}"
+        )
 
 
 def _changemakers(
@@ -511,8 +524,10 @@ def changemaker_obstruction(
     L would be isometric to sigma's complement and have exactly its numbers
     of norm-1 and norm-2 vectors; the enumeration then skips every sigma
     without them (see ``_changemakers``).  Otherwise every changemaker is
-    enumerated, and ``iter_embeddings`` applies the count conditions.
+    enumerated, and ``iter_embeddings`` applies the count conditions.  A
+    rank + 1 above ``MAX_CHANGEMAKER_LENGTH`` raises ResourceCapExceeded.
     """
+    _check_length(gram.rank + 1)
     facts = _search_facts(gram)  # ValueError unless gram is negative definite
     if p < 1:
         raise ValueError(f"norm p must be positive, got {p}")

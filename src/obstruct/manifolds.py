@@ -119,20 +119,6 @@ class Splice(Record):
     def mirror(self) -> "Splice":
         return Splice(self.first.mirror(), self.second.mirror())
 
-    def swapped(self) -> "Splice":
-        return Splice(self.second, self.first)
-
-    def _key(self) -> tuple:
-        return min(
-            ((y.first.p, y.first.q), (y.second.p, y.second.q))
-            for y in (self, self.swapped(), self.mirror(), self.mirror().swapped())
-        )
-
-    def is_equivalent(self, other: "Splice") -> bool:
-        """Equality up to factor swap, global mirror and the torus-knot
-        identities."""
-        return self._key() == other._key()
-
     def __str__(self) -> str:
         return f"splice({self.first},{self.second})"
 
@@ -293,7 +279,7 @@ def nonintegral_classification(y: Splice) -> NonintegralMatch | None:
 
 
 # ---------------------------------------------------------------------------
-# torus knot surgeries and iterated cables
+# lens spaces and iterated cables
 
 
 class Lens(Record):
@@ -305,8 +291,6 @@ class Lens(Record):
     def __init__(self, p: int, q: int) -> None:
         if p < 0:
             p, q = -p, -q
-        if p == 0:
-            raise ValueError("lens space order must be nonzero")
         self._set(p, q)
 
     def h1_order(self) -> int:
@@ -332,47 +316,6 @@ class ConnectedSum(Record):
 
     def __str__(self) -> str:
         return " # ".join(str(s) for s in self.summands)
-
-
-class SmallSFS(Record):
-    """A Seifert fibered space over S^2 with three singular fibers."""
-
-    __slots__ = ("base_orders", "h1")
-
-    def __init__(self, base_orders: tuple[int, int, int], h1: int) -> None:
-        self._set(base_orders, h1)
-
-    def h1_order(self) -> int:
-        return self.h1
-
-    def __str__(self) -> str:
-        o = self.base_orders
-        return f"SFS(S2({o[0]},{o[1]},{o[2]}); |H1|={self.h1})"
-
-
-def torus_knot_surgery(p: int, q: int, r) -> Lens | ConnectedSum | SmallSFS:
-    """Moser's classification of r-surgery on the nontrivial torus knot
-    T(p, q), keyed by the distance Delta between r and the fiber slope pq:
-    Delta = 0 gives L(p,q) # L(q,p); Delta = 1 gives the lens space
-    L(mpq+1, mq^2) for r = pq + 1/m; Delta >= 2 is Seifert fibered over
-    S^2(|p|, |q|, Delta) with |H_1| the numerator of r.
-
-    The indices are used exactly as given, so printed lens parameters follow
-    the caller's (p, q) convention.
-    """
-    if gcd(abs(p), abs(q)) != 1:
-        raise ValueError(f"indices must be coprime: ({p}, {q})")
-    if min(abs(p), abs(q)) <= 1:
-        raise ValueError(f"T({p},{q}) is trivial")
-    r = Fraction(r)
-    num, den = r.numerator, r.denominator
-    delta = abs(p * q * den - num)
-    if delta == 0:
-        return ConnectedSum((Lens(p, q), Lens(q, p)))
-    if delta == 1:
-        m = den if num - p * q * den == 1 else -den
-        return Lens(m * p * q + 1, m * q * q)
-    return SmallSFS((abs(p), abs(q), delta), abs(num))
 
 
 class IteratedTorusKnot(Record):
@@ -420,25 +363,23 @@ class CableSlope(NamedTuple):
     description, or the parametric lens-space family."""
 
     slope: Fraction | None
-    manifold: Lens | ConnectedSum | SmallSFS | None
+    manifold: Lens | ConnectedSum | None
     family: SlopeFamily | None = None
 
 
 def cable_su2_cyclic_slopes(knot: IteratedTorusKnot) -> tuple[CableSlope, ...]:
     """All nontrivial SU(2)-cyclic surgery slopes on an iterated torus knot.
 
-    Depth 1: the family pq + 1/m, plus the reducible slope pq exactly when
-    p or q is +/-2.  Depth 2: nonempty only for the (2pq+e, 2)-cables,
-    e = +/-1, which have slopes 4pq+e (a lens space) and 4pq+2e (a lens
-    space summed with RP^3).  Depth >= 3: none.
+    Depth 1: the family pq + 1/m, plus the slope pq, giving L(p,q) # L(q,p)
+    as indexed, exactly when p or q is +/-2.  Depth 2: nonempty only for the
+    (2pq+e, 2)-cables, e = +/-1, which have slopes 4pq+e (a lens space) and
+    4pq+2e (a lens space summed with RP^3).  Depth >= 3: none.
     """
     p, q = knot.base
     if knot.depth == 1:
         out = [CableSlope(None, None, SlopeFamily(p * q, q * q))]
         if p in (2, -2) or q == 2:
-            out.append(
-                CableSlope(Fraction(p * q), torus_knot_surgery(p, q, p * q))
-            )
+            out.append(CableSlope(Fraction(p * q), ConnectedSum((Lens(p, q), Lens(q, p)))))
         return tuple(out)
     if knot.depth == 2:
         m, n = knot.cables[0]

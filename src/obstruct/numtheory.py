@@ -1,9 +1,8 @@
 """Exact integer number theory for the surgery obstructions.
 
 Everything here is computed with exact integer (or ``Fraction``) arithmetic:
-deterministic factorization, Legendre symbols and square roots modulo n, the
-quadratic character ``chi_8m`` on units mod 8m, and membership plus density
-computations for two density-zero sets of integers:
+deterministic factorization, Legendre symbols and square roots modulo n, and
+membership plus density computations for two density-zero sets of integers:
 
 * ``S``  -- n such that every odd prime divisor of n^2 + 1 is 1 mod 8;
 * ``Sprime`` -- n such that no prime divisor of n - 1 is 3 mod 4, or no
@@ -17,8 +16,8 @@ divide n) respectively; their exact densities are the products returned by
 :func:`density` does not test each n: it sieves one bytearray over 1..limit,
 striking out the arithmetic progressions of non-members, so it needs about
 limit bytes and refuses limits above ``MAX_DENSITY_LIMIT`` (10^8) with
-:class:`ResourceCapExceeded` before allocating anything.  ``in_S``,
-``in_Sprime`` and ``ResidueSet.contains`` decide a single n.
+:class:`ResourceCapExceeded` before allocating anything.  ``in_S`` and
+``in_Sprime`` decide a single n.
 
 Inputs are restricted to signed 64-bit range.  All functions are pure;
 ``factor`` is memoized, and its results are immutable, so concurrent use is
@@ -40,10 +39,6 @@ MAX_INPUT = 2**63 - 1
 # Trial division handles all factors up to this bound; anything larger goes
 # through Miller-Rabin / Pollard rho.
 _TRIAL_LIMIT = 1000
-
-# Candidate primes p = a, a + 8m, ... for chi_8m are searched up to this
-# bound.  Dirichlet guarantees one exists but gives no effective bound.
-MAX_PRIME_SEARCH = 10**7
 
 # density() sieves an array of about limit bytes, so its limit is capped.
 MAX_DENSITY_LIMIT = 10**8
@@ -348,29 +343,6 @@ def square_root_mod(a: int, n: int) -> int | None:
     return min(x, (n - x) % n)
 
 
-def chi_8m(a: int, m: int) -> int:
-    """The real character a -> (2m / p) on units mod 8m, for odd m >= 1.
-
-    Here p is the smallest prime congruent to a mod 8m; it is odd and does
-    not divide 2m, since a is a unit.  The value does not depend on which
-    such prime is used, by quadratic reciprocity, which is what makes this a
-    well-defined character.
-    """
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"m must be an odd positive integer, got {m}")
-    _check_width(a)
-    mod = 8 * m
-    a %= mod
-    if gcd(a, mod) != 1:
-        raise ValueError(f"{a} is not a unit mod {mod}")
-    for p in range(a, MAX_PRIME_SEARCH + 1, mod):
-        if is_prime(p):
-            return 1 if pow(2 * m % p, (p - 1) // 2, p) == 1 else -1  # Euler's criterion
-    raise ResourceCapExceeded(
-        f"no prime congruent to {a} mod {mod} found below {MAX_PRIME_SEARCH}"
-    )
-
-
 def _odd_divisors_one_mod(d: int, modulus: int) -> bool:
     """True iff every odd prime divisor of d >= 1 is 1 mod modulus.
 
@@ -426,8 +398,6 @@ def in_Sprime(n: int) -> bool:
 
 def primes_in_class(k: int, residue: int, modulus: int) -> tuple[int, ...]:
     """The first k primes congruent to residue mod modulus."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     limit = _FIRST_PRIME_LIMIT
     while True:
         primes = tuple(islice(_primes_upto(limit, residue, modulus), k))
@@ -483,17 +453,6 @@ class ResidueSet(Record):
         if self.kind == "Tk":
             return primes_in_class(self.k, 3, 4)
         raise ValueError(f"{self.kind} has no defining prime list")
-
-    def contains(self, n: int) -> bool:
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        if self.kind == "S":
-            return in_S(n)
-        if self.kind == "Sprime":
-            return n >= 2 and in_Sprime(n)
-        if self.kind == "Sk":
-            return all(n * n % p != p - 1 for p in self.primes())
-        return all(n % p != 0 for p in self.primes())
 
     def period(self) -> int:
         """Period of the membership pattern (Sk/Tk only)."""

@@ -315,6 +315,17 @@ def test_density_bound_too_long_exit_3(capsys):
     assert err.startswith("resource cap: ") and "Sk:1200" in err
 
 
+def test_changemaker_length_cap_exit_3(capsys):
+    from obstruct import cli
+
+    assert cli.main(["changemaker", "enum", "--len", "512", "--norm", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["count"] == 1
+    assert cli.main(["changemaker", "enum", "--len", "513", "--norm", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource cap: ") and "MAX_CHANGEMAKER_LENGTH = 512" in err
+
+
 def test_census_product_cap_exit_3(capsys):
     from obstruct import cli
 

