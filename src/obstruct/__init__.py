@@ -28,7 +28,6 @@ from .lattice import (
     embed_in_complement,
     enumerate_changemakers,
     is_changemaker,
-    iter_embeddings,
     parse_gram_text,
 )
 from .manifolds import (
@@ -98,7 +97,6 @@ __all__ = [
     "irrep_witness",
     "is_changemaker",
     "is_prime",
-    "iter_embeddings",
     "l35_white_graph",
     "legendre",
     "nonintegral_classification",

@@ -366,34 +366,41 @@ def _counts_admit(facts: _SearchFacts, sigma: Changemaker) -> bool:
     return all(a <= b for a, b in zip(facts.short, have))
 
 
-def iter_embeddings(gram: GramMatrix, sigma: Changemaker) -> Iterator[Embedding]:
-    """All embeddings of `gram` into the complement of `sigma`, up to the
-    lattice automorphisms fixing sigma (coordinate permutations within blocks
-    of equal sigma entries, and sign flips on coordinates where sigma is 0).
+def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | None:
+    """The first embedding of `gram` into the complement of `sigma` in
+    canonical order, or None if none exists.
 
-    The search is complete backtracking: exhausting the iterator without a
-    result proves that no embedding exists.  Before it starts, sigma is
-    rejected when |det G| is not a square times |sigma|^2 or when the counts
-    of vectors of norm 1, 2 and 3 of the two lattices rule an embedding out
-    (see ``_counts_admit``); each such rejection is itself a proof.  At
-    index 1 (|det G| = |sigma|^2) the counts must be equal, because L is then
-    isometric to the complement.  The rejection holds for any sigma, whether
-    or not it came from the pruned enumeration of ``changemaker_obstruction``,
-    so a single ``embed_in_complement`` call gets it too.  Vectors
-    are filled in increasing order of the Gram diagonal; coordinates are
-    processed from the largest sigma entry down; candidate values run from
-    high to low, so the first embedding produced is canonical and
-    deterministic.
+    Embeddings are searched up to the lattice automorphisms fixing sigma
+    (coordinate permutations within blocks of equal sigma entries, and sign
+    flips on coordinates where sigma is 0), by complete backtracking: None is
+    a proof that no embedding exists.  Before the search, sigma is rejected
+    when |det G| is not a square times |sigma|^2 or when the counts of vectors
+    of norm 1, 2 and 3 of the two lattices rule an embedding out (see
+    ``_counts_admit``); each such rejection is itself a proof.  At index 1
+    (|det G| = |sigma|^2) the counts must be equal, because L is then
+    isometric to the complement.  Vectors are filled in increasing order of
+    the Gram diagonal; coordinates are processed from the largest sigma entry
+    down; candidate values run from high to low, so the embedding returned is
+    canonical and deterministic.
     """
-    n = gram.rank
-    d = n + 1
+    d = gram.rank + 1
     if len(sigma) != d:
         raise ValueError(f"sigma must have length {d}, got {len(sigma)}")
-    facts = _search_facts(gram)
+    facts = _search_facts(gram)  # ValueError unless gram is negative definite
     if sigma.norm == 0:
-        return  # the zero vector spans nothing; full rank is impossible
+        return None  # the zero vector spans nothing; full rank is impossible
+    return _first_embedding(gram, facts, sigma)
+
+
+def _first_embedding(
+    gram: GramMatrix, facts: _SearchFacts, sigma: Changemaker
+) -> Embedding | None:
+    """``embed_in_complement`` for a nonzero sigma of length rank + 1, given
+    the facts about `gram`."""
     if not _counts_admit(facts, sigma):
-        return
+        return None
+    n = gram.rank
+    d = n + 1
 
     gp = facts.positive
     order = facts.order
@@ -461,7 +468,7 @@ def iter_embeddings(gram: GramMatrix, sigma: Changemaker) -> Iterator[Embedding]
 
         yield from rec(0, diag, 0, [0] * len(vecs))
 
-    def search(t: int) -> Iterator[Embedding]:
+    def search(t: int) -> Embedding | None:
         if t == n:
             res: list[tuple[int, ...] | None] = [None] * n
             for s in range(n):
@@ -470,25 +477,21 @@ def iter_embeddings(gram: GramMatrix, sigma: Changemaker) -> Iterator[Embedding]
                     w[coords[j]] = vecs[s][j]
                 res[order[s]] = tuple(w)
             emb = Embedding(sigma, tuple(res))  # type: ignore[arg-type]
-            if emb.verifies(gram):  # rank check; holds whenever G is definite
-                yield emb
-            return
+            return emb if emb.verifies(gram) else None  # rank check; holds whenever G is definite
         for v in candidates(t):
             suffix = [0] * (d + 1)
             for j in range(d - 1, -1, -1):
                 suffix[j] = suffix[j + 1] + v[j] * v[j]
             vecs.append(v)
             sufv.append(suffix)
-            yield from search(t + 1)
+            emb = search(t + 1)
+            if emb is not None:
+                return emb
             vecs.pop()
             sufv.pop()
+        return None
 
-    yield from search(0)
-
-
-def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | None:
-    """First embedding in canonical order, or None if none exists."""
-    return next(iter_embeddings(gram, sigma), None)
+    return search(0)
 
 
 class ObstructionResult(Record):
@@ -524,8 +527,9 @@ def changemaker_obstruction(
     L would be isometric to sigma's complement and have exactly its numbers
     of norm-1 and norm-2 vectors; the enumeration then skips every sigma
     without them (see ``_changemakers``).  Otherwise every changemaker is
-    enumerated, and ``iter_embeddings`` applies the count conditions.  A
-    rank + 1 above ``MAX_CHANGEMAKER_LENGTH`` raises ResourceCapExceeded.
+    enumerated, and each meets the count conditions of ``embed_in_complement``.
+    The facts about G are computed once, not once per changemaker.  A rank + 1
+    above ``MAX_CHANGEMAKER_LENGTH`` raises ResourceCapExceeded.
     """
     _check_length(gram.rank + 1)
     facts = _search_facts(gram)  # ValueError unless gram is negative definite
@@ -534,7 +538,7 @@ def changemaker_obstruction(
     found = []
     short = facts.short if facts.det == p else None
     for entries in _changemakers(gram.rank + 1, p, short):
-        emb = embed_in_complement(gram, Changemaker(entries))
+        emb = _first_embedding(gram, facts, Changemaker(entries))
         if emb is not None:
             found.append(emb)
             if not all_witnesses:

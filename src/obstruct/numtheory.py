@@ -1,8 +1,9 @@
 """Exact integer number theory for the surgery obstructions.
 
 Everything here is computed with exact integer (or ``Fraction``) arithmetic:
-deterministic factorization, Legendre symbols and square roots modulo n, and
-membership plus density computations for two density-zero sets of integers:
+deterministic factorization, Legendre symbols, square roots modulo n (one
+routine for every prime power, roots joined by the CRT), and membership plus
+density computations for two density-zero sets of integers:
 
 * ``S``  -- n such that every odd prime divisor of n^2 + 1 is 1 mod 8;
 * ``Sprime`` -- n such that no prime divisor of n - 1 is 3 mod 4, or no
@@ -204,16 +205,12 @@ def factor(n: int) -> Factorization:
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p
-    if 1 < m <= _TRIAL_LIMIT * _TRIAL_LIMIT:
-        # no factor <= _TRIAL_LIMIT remains, so m is prime
-        found[m] = found.get(m, 0) + 1
-        m = 1
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if m <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
             found[m] = found.get(m, 0) + 1
-            continue
+            continue  # no factor below _TRIAL_LIMIT remains, so a small m is prime
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
@@ -231,10 +228,9 @@ def legendre(a: int, p: int) -> int:
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a modulo the odd prime p, or None (Tonelli-Shanks)."""
+    """A square root of the unit a modulo the odd prime p, or None
+    (Tonelli-Shanks)."""
     a %= p
-    if a == 0:
-        return 0
     if legendre(a, p) != 1:
         return None
     if p % 4 == 3:
@@ -260,79 +256,61 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     return r
 
 
-def _sqrt_mod_odd_prime_power(a: int, p: int, e: int) -> int | None:
-    """A square root of a modulo p**e (p odd), or None."""
+def _sqrt_mod_prime_power(a: int, p: int, e: int) -> int | None:
+    """A square root of a modulo the prime power p**e, or None.
+
+    A nonzero a = p^t u, with u a unit mod p^k and k = e - t, is a square iff
+    t is even and u is a square mod p^k; then r p^(t/2) is a root for each
+    root r of u.  For odd p, a root of u mod p lifts by Hensel's lemma.  For
+    p = 2, u is a square mod 2^k iff u = 1 mod 2^min(k, 3), and its root is
+    then fixed one bit at a time.
+    """
     pe = p**e
     a %= pe
     if a == 0:
-        return pow(p, (e + 1) // 2, pe) % pe
+        return pow(p, (e + 1) // 2, pe)
     t = 0
     while a % p == 0:
         a //= p
         t += 1
     if t % 2 == 1:
         return None
-    r = _sqrt_mod_prime(a % p, p)
-    if r is None:
-        return None
-    # Hensel: lift r from mod p to mod p^(e-t)
-    pk = p
-    while pk < p ** (e - t):
-        pk2 = pk * pk if pk * pk < p ** (e - t) else p ** (e - t)
-        inv = pow(2 * r, -1, pk2)
-        r = (r - (r * r - a) * inv) % pk2
-        pk = pk2
-    return r * p ** (t // 2) % pe
-
-
-def _sqrt_mod_two_power(a: int, k: int) -> int | None:
-    """A square root of a modulo 2**k, or None."""
-    mod = 1 << k
-    a %= mod
-    if a == 0:
-        return (1 << ((k + 1) // 2)) % mod
-    t = 0
-    while a % 2 == 0:
-        a //= 2
-        t += 1
-    if t % 2 == 1:
-        return None
-    j = k - t  # a is an odd square mod 2^j iff the usual 2-adic criteria hold
-    if j == 1:
-        r = 1
-    elif j == 2:
-        if a % 4 != 1:
+    k = e - t
+    if p == 2:
+        if a % 2 ** min(k, 3) != 1:
             return None
         r = 1
-    else:
-        if a % 8 != 1:
-            return None
-        r = 1
-        for i in range(3, j):
+        for i in range(3, k):
             if (r * r - a) % (1 << (i + 1)) != 0:
                 r += 1 << (i - 1)
-    return r * (1 << (t // 2)) % mod
+    else:
+        r = _sqrt_mod_prime(a, p)
+        if r is None:
+            return None
+        pk, q = p**k, p  # Hensel: lift r from mod q = p to mod pk
+        while q < pk:
+            q = min(q * q, pk)
+            r = (r - (r * r - a) * pow(2 * r, -1, q)) % q
+    return r * p ** (t // 2) % pe
 
 
 def square_root_mod(a: int, n: int) -> int | None:
     """A witness x in [0, n) with x^2 = a (mod n), or None if a is not a
     square modulo n.
 
-    Decides via the factorization of n, Legendre symbols lifted through odd
-    prime powers, the standard 2-adic criteria, and a CRT combination; the
-    witness is deterministic.
+    Decides via the factorization of n, one root modulo each prime power
+    (:func:`_sqrt_mod_prime_power`), and a CRT combination; the witness is
+    deterministic: the smaller of x and n - x.
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     _check_width(n)
     _check_width(a)
     a %= n
-    if n == 1:
-        return 0
     x, mod = 0, 1
     for p, e in factor(n).factors:
         pe = p**e
-        r = _sqrt_mod_two_power(a, e) if p == 2 else _sqrt_mod_odd_prime_power(a, p, e)
+        r = _sqrt_mod_prime_power(a, p, e)
         if r is None:
             return None
         # CRT: combine x mod `mod` with r mod pe

@@ -302,9 +302,17 @@ def test_pruned_search_equals_naive_search():
 
 
 def test_all_yielded_embeddings_verify():
-    for sigma in la.enumerate_changemakers(6, 35):
-        for emb in la.iter_embeddings(family_2odd(1, 1), sigma):
-            assert emb.verifies(family_2odd(1, 1))
+    gram = family_2odd(1, 1)
+    found = [la.embed_in_complement(gram, s) for s in la.enumerate_changemakers(6, 35)]
+    assert any(found) and all(emb.verifies(gram) for emb in found if emb)
+
+
+def test_search_facts_computed_once_per_query(monkeypatch):
+    calls = []
+    search_facts = la._search_facts
+    monkeypatch.setattr(la, "_search_facts", lambda g: calls.append(g) or search_facts(g))
+    assert len(la.changemaker_obstruction(GD, 226, all_witnesses=True).witnesses) >= 1
+    assert calls == [GD]
 
 
 def complement_gram(rng, sigma):

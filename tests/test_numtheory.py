@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -147,6 +149,14 @@ def test_square_root_mod_two_power_cases():
         sq = squares_mod(n)
         for a in range(n):
             assert (nt.square_root_mod(a, n) is not None) == (a in sq), (a, n)
+
+
+def test_square_root_mod_witnesses_locked():
+    """The exact witness, not only whether one exists, for every a < n <= 300:
+    prime powers up to 2^8 and 3^5, and mixed moduli."""
+    roots = [nt.square_root_mod(a, n) for n in range(1, 301) for a in range(n)]
+    digest = hashlib.sha256(json.dumps(roots).encode()).hexdigest()
+    assert digest == "bd7393a604453cab1a1ee6e4b504103d44ac927e6dfb04f23183ace292e733d6"
 
 
 @settings(max_examples=300, deadline=None)
