@@ -160,6 +160,8 @@ def _changemakers(
     entries come from the representations of the remaining norm as a sum of
     two squares.
     """
+    if norm > changemaker_max_norm(length):
+        return
     if short is None:
         zlo, zhi, plo, phi = 0, length, 0, comb(length, 2)
     else:
@@ -396,7 +398,9 @@ def _first_embedding(
     gram: GramMatrix, facts: _SearchFacts, sigma: Changemaker
 ) -> Embedding | None:
     """``embed_in_complement`` for a nonzero sigma of length rank + 1, given
-    the facts about `gram`."""
+    the facts about `gram`.  ``fill(t)`` returns the first embedding extending
+    the vectors filled so far, or None; its ``rec(j, ...)`` sets coordinate j
+    of vector t, largest sigma entry first, and at j == d calls fill(t + 1)."""
     if not _counts_admit(facts, sigma):
         return None
     n = gram.rank
@@ -404,25 +408,38 @@ def _first_embedding(
 
     gp = facts.positive
     order = facts.order
-    coords = list(range(d - 1, -1, -1))  # largest sigma entries first
-    sig = [sigma.entries[c] for c in coords]
+    sig = sigma.entries[::-1]  # largest sigma entries first
     suf_sig2 = [0] * (d + 1)
     for j in range(d - 1, -1, -1):
         suf_sig2[j] = suf_sig2[j + 1] + sig[j] * sig[j]
 
-    vecs: list[tuple[int, ...]] = []  # in fill order, indexed by position j
+    vecs: list[tuple[int, ...]] = []  # in fill order, in reversed coordinates
     sufv: list[list[int]] = []  # suffix norms of each filled vector
 
-    def candidates(t: int) -> Iterator[tuple[int, ...]]:
+    def fill(t: int) -> Embedding | None:
+        if t == n:
+            res: list[tuple[int, ...] | None] = [None] * n
+            for s in range(n):
+                res[order[s]] = vecs[s][::-1]
+            emb = Embedding(sigma, tuple(res))  # type: ignore[arg-type]
+            return emb if emb.verifies(gram) else None  # rank check; holds whenever G is definite
         diag = gp[order[t]][order[t]]
         offs = [gp[order[t]][order[s]] for s in range(t)]
         v = [0] * d
 
-        def rec(j: int, rem: int, dot_sig: int, dots: list[int]) -> Iterator[tuple[int, ...]]:
+        def rec(j: int, rem: int, dot_sig: int, dots: list[int]) -> Embedding | None:
             if j == d:
-                if rem == 0 and dot_sig == 0 and dots == offs:
-                    yield tuple(v)
-                return
+                if rem != 0 or dot_sig != 0 or dots != offs:
+                    return None
+                suffix = [0] * (d + 1)
+                for k in range(d - 1, -1, -1):
+                    suffix[k] = suffix[k + 1] + v[k] * v[k]
+                vecs.append(tuple(v))
+                sufv.append(suffix)
+                emb = fill(t + 1)
+                vecs.pop()
+                sufv.pop()
+                return emb
             b = isqrt(rem)
             hi, lo = b, -b
             # Canonical form under block permutations: if this coordinate is
@@ -463,35 +480,14 @@ def _first_embedding(
                 if not ok:
                     continue
                 v[j] = val
-                yield from rec(j + 1, nrem, nds, nd)
-                v[j] = 0
+                emb = rec(j + 1, nrem, nds, nd)
+                if emb is not None:
+                    return emb
+            return None
 
-        yield from rec(0, diag, 0, [0] * len(vecs))
+        return rec(0, diag, 0, [0] * t)
 
-    def search(t: int) -> Embedding | None:
-        if t == n:
-            res: list[tuple[int, ...] | None] = [None] * n
-            for s in range(n):
-                w = [0] * d
-                for j in range(d):
-                    w[coords[j]] = vecs[s][j]
-                res[order[s]] = tuple(w)
-            emb = Embedding(sigma, tuple(res))  # type: ignore[arg-type]
-            return emb if emb.verifies(gram) else None  # rank check; holds whenever G is definite
-        for v in candidates(t):
-            suffix = [0] * (d + 1)
-            for j in range(d - 1, -1, -1):
-                suffix[j] = suffix[j + 1] + v[j] * v[j]
-            vecs.append(v)
-            sufv.append(suffix)
-            emb = search(t + 1)
-            if emb is not None:
-                return emb
-            vecs.pop()
-            sufv.pop()
-        return None
-
-    return search(0)
+    return fill(0)
 
 
 class ObstructionResult(Record):

@@ -108,14 +108,6 @@ class Splice(Record):
     def h1_order(self) -> int:
         return abs(self.signed_h1())
 
-    def linking_self(self) -> tuple[Fraction, Fraction]:
-        """Linking-form self-pairings of the two meridians, in [0, 1)."""
-        n = self.signed_h1()
-        return (
-            Fraction(-self.second.product, n) % 1,
-            Fraction(-self.first.product, n) % 1,
-        )
-
     def mirror(self) -> "Splice":
         return Splice(self.first.mirror(), self.second.mirror())
 
@@ -130,8 +122,9 @@ class Splice(Record):
 class IntegralObstruction(NamedTuple):
     """Residue test for realizing the splice by surgery of slope sign * n,
     n = |H_1|.  The tested classes are sign * sgn(abcd-1) * ab (and cd); the
-    slope is impossible unless both are squares mod n, and they are squares
-    simultaneously because ab * cd = 1 mod n."""
+    slope is impossible unless both are squares mod n.  Since ab * cd = 1
+    mod n, the two classes are inverses and are squares together, so one
+    root, the ``witness`` for the ab class, decides each sign."""
 
     sign: int
     n: int
@@ -156,13 +149,7 @@ def integral_obstruction(y: Splice, sign: int) -> IntegralObstruction:
     s0 = 1 if big_n > 0 else -1
     res_ab = sign * s0 * y.first.product % n
     res_cd = sign * s0 * y.second.product % n
-    w_ab = square_root_mod(res_ab, n)
-    w_cd = square_root_mod(res_cd, n)
-    if (w_ab is None) != (w_cd is None):
-        raise RuntimeError(
-            f"residue classes {res_ab} and {res_cd} mod {n} disagree; "
-            "they are inverses and must be squares simultaneously"
-        )
+    w_ab = square_root_mod(res_ab, n)  # res_cd = 1 / res_ab mod n: one root decides both
     return IntegralObstruction(
         sign=sign, n=n, residue_ab=res_ab, residue_cd=res_cd, witness=w_ab
     )

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from math import isqrt
 
@@ -151,6 +153,22 @@ def test_max_norm_bound_attained():
         doubling = tuple(2**i for i in range(length))
         assert la.Changemaker(doubling) in la.enumerate_changemakers(length, bound)
         assert la.enumerate_changemakers(length, bound + 1) == []
+
+
+def test_norm_above_doubling_bound_returns_at_once(monkeypatch):
+    """Length 2 allows norm <= 5; a huge norm must not walk its two-squares
+    loop, which takes about sqrt(norm) steps."""
+    calls = []
+
+    def counted_isqrt(x):
+        calls.append(x)
+        if len(calls) > 1000:
+            raise AssertionError("isqrt called more than 1000 times")
+        return isqrt(x)
+
+    monkeypatch.setattr(la, "isqrt", counted_isqrt)
+    assert la.enumerate_changemakers(2, 10**30) == []
+    assert la.changemaker_obstruction(la.GramMatrix(((-1,),)), 10**30).obstructed
 
 
 def test_obstruction_length_cap(monkeypatch):
@@ -348,9 +366,11 @@ def doubled(gram, i):
 
 def test_complement_forms_always_embed():
     """Known positives: sigma's own complement, and an index-2 sublattice of
-    it (|det| = 4 |sigma|^2), must embed at norm |sigma|^2."""
+    it (|det| = 4 |sigma|^2), must embed at norm |sigma|^2.  The digest pins
+    the canonical embedding returned for each of the 273 witnesses."""
     rng = random.Random(5)
     checked = 0
+    locked = []
     while checked < 260:
         length = rng.randint(3, 6)
         norm = rng.randint(1, 49)
@@ -366,7 +386,13 @@ def test_complement_forms_always_embed():
         assert res.status == "witness", (sigma, gram)
         assert sigma in [w.sigma for w in res.witnesses], (sigma, gram)
         assert all(w.verifies(gram) for w in res.witnesses)
+        locked.append([[list(w.sigma.entries), list(map(list, w.vectors))] for w in res.witnesses])
         checked += 1
+    digest = hashlib.sha256(json.dumps(locked).encode()).hexdigest()
+    assert (sum(map(len, locked)), digest) == (
+        273,
+        "91a122d3c893de91c35d86f0e1d130279f2ef3a81caed68a1539f04a65910085",
+    )
 
 
 # ---------------------------------------------------------------------------

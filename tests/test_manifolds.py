@@ -1,5 +1,7 @@
 import itertools
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -63,13 +65,20 @@ def test_splice_requires_nontrivial_factors():
         mf.Splice.of(2, 3, 0, 1)
 
 
+def linking_self(y):
+    """Linking-form self-pairings of the two meridians, in [0, 1): -cd/(abcd-1)
+    and -ab/(abcd-1) mod 1."""
+    n = y.signed_h1()
+    return (Fraction(-y.second.product, n) % 1, Fraction(-y.first.product, n) % 1)
+
+
 def test_linking_self_values():
-    assert mf.Splice.of(2, 3, 2, 5).linking_self() == (
+    assert linking_self(mf.Splice.of(2, 3, 2, 5)) == (
         Fraction(49, 59),
         Fraction(53, 59),
     )
     # abcd - 1 = -37 here, so -cd/(abcd-1) = 6/-37 = 31/37 mod 1
-    assert mf.Splice.of(2, 3, 2, -3).linking_self() == (
+    assert linking_self(mf.Splice.of(2, 3, 2, -3)) == (
         Fraction(31, 37),
         Fraction(6, 37),
     )
@@ -77,13 +86,13 @@ def test_linking_self_values():
 
 def test_linking_self_swap_symmetry():
     y = mf.Splice.of(2, 3, 3, 5)
-    a, b = y.linking_self()
-    assert swapped(y).linking_self() == (b, a)
+    a, b = linking_self(y)
+    assert linking_self(swapped(y)) == (b, a)
 
 
 def test_linking_values_in_unit_interval():
     y = mf.Splice.of(3, 4, -3, 4)
-    for v in y.linking_self():
+    for v in linking_self(y):
         assert 0 <= v < 1
 
 
@@ -96,7 +105,7 @@ def test_linking_self_square_factor_identity():
         mf.Splice.of(3, 5, -3, 5),
         mf.Splice.of(3, 4, 5, 2),
     ):
-        lk_ab, lk_cd = y.linking_self()
+        lk_ab, lk_cd = linking_self(y)
         ab = y.first.product
         assert (ab * ab * lk_ab) % 1 == lk_cd
 
@@ -134,17 +143,26 @@ def nontrivial_knots(limit):
 
 
 def test_residue_agreement_small_indices():
-    # ab and cd are inverses mod |abcd - 1|, so each sign's two residue
-    # classes are squares simultaneously; integral_obstruction raises if not.
+    # ab * cd = 1 mod n = |abcd - 1|, so each sign's two residue classes are
+    # inverses and squares together; integral_obstruction roots only the ab
+    # class.  Small indices, the (2,odd) grid and its mirrors, and random
+    # splices with indices up to 3,000, the verdict-stream range.
     knots = nontrivial_knots(9)
-    for k1, k2 in itertools.product(knots, knots):
-        y = mf.Splice(k1, k2)
+    splices = [mf.Splice(k1, k2) for k1, k2 in itertools.product(knots, knots)]
+    grid = [mf.Splice.of(2 * a + 1, 2, 2 * b + 1, 2) for a in range(1, 20) for b in range(a, 20)]
+    rng = random.Random(15)
+    randoms = []
+    while len(randoms) < 500:
+        a, b, c, d = (rng.randint(2, 3000) for _ in range(4))
+        if gcd(a, b) == gcd(c, d) == 1:
+            randoms.append(mf.Splice.of(rng.choice((a, -a)), b, rng.choice((c, -c)), d))
+    for y in splices + grid + [y.mirror() for y in grid] + randoms:
         n = y.h1_order()
         for sign in (+1, -1):
             ob = mf.integral_obstruction(y, sign)
-            assert (square_root_mod(ob.residue_ab, n) is None) == (
-                square_root_mod(ob.residue_cd, n) is None
-            )
+            assert ob.residue_ab * ob.residue_cd % n == 1, (y, sign)
+            assert (square_root_mod(ob.residue_cd, n) is None) == ob.obstructed, (y, sign)
+            assert ob.obstructed or ob.witness ** 2 % n == ob.residue_ab
 
 
 # ---------------------------------------------------------------------------
