@@ -21,6 +21,7 @@ determinant, so pivoting is never needed.  No floating point is used anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, isqrt, lcm
 from typing import Iterator, NamedTuple
 
@@ -399,8 +400,9 @@ def _first_embedding(
 ) -> Embedding | None:
     """``embed_in_complement`` for a nonzero sigma of length rank + 1, given
     the facts about `gram`.  ``fill(t)`` returns the first embedding extending
-    the vectors filled so far, or None; its ``rec(j, ...)`` sets coordinate j
-    of vector t, largest sigma entry first, and at j == d calls fill(t + 1)."""
+    the vectors filled so far, or None.  It sets vector t's coordinates,
+    largest sigma entry first, with an explicit stack, so the Python stack
+    grows by one frame per vector, and calls fill(t + 1) per candidate."""
     if not _counts_admit(facts, sigma):
         return None
     n = gram.rank
@@ -409,9 +411,7 @@ def _first_embedding(
     gp = facts.positive
     order = facts.order
     sig = sigma.entries[::-1]  # largest sigma entries first
-    suf_sig2 = [0] * (d + 1)
-    for j in range(d - 1, -1, -1):
-        suf_sig2[j] = suf_sig2[j + 1] + sig[j] * sig[j]
+    suf_sig2 = list(accumulate((x * x for x in reversed(sig)), initial=0))[::-1]
 
     vecs: list[tuple[int, ...]] = []  # in fill order, in reversed coordinates
     sufv: list[list[int]] = []  # suffix norms of each filled vector
@@ -427,19 +427,7 @@ def _first_embedding(
         offs = [gp[order[t]][order[s]] for s in range(t)]
         v = [0] * d
 
-        def rec(j: int, rem: int, dot_sig: int, dots: list[int]) -> Embedding | None:
-            if j == d:
-                if rem != 0 or dot_sig != 0 or dots != offs:
-                    return None
-                suffix = [0] * (d + 1)
-                for k in range(d - 1, -1, -1):
-                    suffix[k] = suffix[k + 1] + v[k] * v[k]
-                vecs.append(tuple(v))
-                sufv.append(suffix)
-                emb = fill(t + 1)
-                vecs.pop()
-                sufv.pop()
-                return emb
+        def values(j: int, rem: int) -> list[int] | range:
             b = isqrt(rem)
             hi, lo = b, -b
             # Canonical form under block permutations: if this coordinate is
@@ -455,13 +443,18 @@ def _first_embedding(
             if j == d - 1:
                 # the last coordinate must absorb the whole remaining norm
                 if b * b != rem:
-                    vals: list[int] | range = []
-                elif b == 0:
-                    vals = [0] if lo <= 0 <= hi else []
-                else:
-                    vals = [x for x in (b, -b) if lo <= x <= hi]
-            else:
-                vals = range(hi, lo - 1, -1)
+                    return []
+                if b == 0:
+                    return [0] if lo <= 0 <= hi else []
+                return [x for x in (b, -b) if lo <= x <= hi]
+            return range(hi, lo - 1, -1)
+
+        # stack[j]: once coordinates 0..j-1 are set, the norm left, the dot
+        # with sigma, the dots with the filled vectors and coordinate j's values
+        stack = [(diag, 0, [0] * t, iter(values(0, diag)))]
+        while stack:
+            j = len(stack) - 1
+            rem, dot_sig, dots, vals = stack[j]
             for val in vals:
                 nrem = rem - val * val
                 nds = dot_sig + val * sig[j]
@@ -480,12 +473,21 @@ def _first_embedding(
                 if not ok:
                     continue
                 v[j] = val
-                emb = rec(j + 1, nrem, nds, nd)
+                if j + 1 < d:
+                    stack.append((nrem, nds, nd, iter(values(j + 1, nrem))))
+                    break
+                if nrem != 0 or nds != 0 or nd != offs:
+                    continue
+                vecs.append(tuple(v))
+                sufv.append(list(accumulate((x * x for x in reversed(v)), initial=0))[::-1])
+                emb = fill(t + 1)
+                vecs.pop()
+                sufv.pop()
                 if emb is not None:
                     return emb
-            return None
-
-        return rec(0, diag, 0, [0] * t)
+            else:
+                stack.pop()
+        return None
 
     return fill(0)
 

@@ -193,6 +193,20 @@ def test_embed_rank_one():
     assert emb.verifies(la.GramMatrix.from_rows([[-1]]))
 
 
+def test_rank_30_search_stays_within_recursion_limit():
+    """The search takes one Python frame per vector.  A frame per coordinate
+    of each vector would need about 30 * 33 frames here, near the default
+    limit of 1000, and the trivial witness would raise RecursionError."""
+    rank = 30
+    minus_i = la.GramMatrix.from_rows(
+        [[-1 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    )
+    res = la.changemaker_obstruction(minus_i, 1)
+    assert res.status == "witness"
+    assert res.first().sigma.entries == (0,) * rank + (1,)
+    assert res.first().verifies(minus_i)
+
+
 def test_known_basis_verifies_bit_exactly():
     emb = la.Embedding(SIGMA_226, BASIS_226)
     assert emb.verifies(GD)
