@@ -53,7 +53,6 @@ from .numtheory import (
     in_S,
     in_Sprime,
     is_prime,
-    legendre,
     product_bound,
     square_root_mod,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "is_changemaker",
     "is_prime",
     "l35_white_graph",
-    "legendre",
     "nonintegral_classification",
     "not_surgery_verdict",
     "parse_gram_text",

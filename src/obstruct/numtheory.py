@@ -1,9 +1,9 @@
 """Exact integer number theory for the surgery obstructions.
 
 Everything here is computed with exact integer (or ``Fraction``) arithmetic:
-deterministic factorization, Legendre symbols, square roots modulo n (one
-routine for every prime power, roots joined by the CRT), and membership plus
-density computations for two density-zero sets of integers:
+deterministic factorization, square roots modulo n decided by Euler's criterion
+(one routine for every prime power, roots joined by the CRT), and membership
+plus density computations for two density-zero sets of integers:
 
 * ``S``  -- n such that every odd prime divisor of n^2 + 1 is 1 mod 8;
 * ``Sprime`` -- n such that no prime divisor of n - 1 is 3 mod 4, or no
@@ -217,42 +217,35 @@ def factor(n: int) -> Factorization:
     return Factorization(n, tuple(sorted(found.items())))
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p: 0, +1 or -1."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
     """A square root of the unit a modulo the odd prime p, or None
-    (Tonelli-Shanks)."""
-    a %= p
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks with the smallest quadratic non-residue as generator.
+    (Tonelli-Shanks).
+
+    With p - 1 = q 2^s, q odd, and t = a^q, Euler's criterion reads
+    t^(2^(s-1)) = 1 exactly when a is a square.  The generator is the smallest
+    non-residue z, which fixes the witness.
+    """
     q = p - 1
     s = 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    if pow(t, 1 << (s - 1), p) != 1:
+        return None
+    if t != 1:
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        m, c = s, pow(z, q, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c = i, b * b % p
+            t, r = t * c % p, r * b % p
     return r
 
 

