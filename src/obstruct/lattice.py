@@ -23,6 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, isqrt, lcm
+from operator import eq, le
 from typing import Iterator, NamedTuple
 
 from ._record import Record
@@ -275,7 +276,8 @@ class _SearchFacts(NamedTuple):
     positive: tuple[tuple[int, ...], ...]  # the positive-definite form -G
     order: tuple[int, ...]  # fill order: by diagonal entry, then by index
     det: int  # |det G|
-    short: tuple[int, int, int]  # numbers of vectors of norm 1, 2 and 3
+    short: tuple[int, ...]  # numbers of vectors of norm 1, 2 and 3
+    elimination: list[list[int]]  # the Bareiss rows of -G, for _vector_counts
 
 
 @lru_cache(maxsize=64)
@@ -286,19 +288,34 @@ def _search_facts(gram: GramMatrix) -> _SearchFacts:
         raise ValueError("Gram matrix must be negative definite")
     n = gram.rank
     gp = tuple(tuple(-x for x in row) for row in gram.entries)
-    # With minors M_0 = 1, M_(k+1) = u[k][k], the form is
-    #   Q(x) = sum_k (sum_(j>=k) u[k][j] x_j)^2 / (M_k M_(k+1)).
-    # Scaling by the lcm of the denominators keeps Fincke-Pohst in integers.
+    return _SearchFacts(
+        positive=gp,
+        order=tuple(sorted(range(n), key=lambda i: (gp[i][i], i))),
+        det=u[-1][-1] if n else 1,
+        short=tuple(_vector_counts(u, 3)[1:]),
+        elimination=u,
+    )
+
+
+def _vector_counts(u: list[list[int]], top: int) -> list[int]:
+    """Numbers of x in Z^n with Q(x) = 0, 1, ..., top, where Q = -G is
+    positive definite and u is its ``_positive_elimination``.
+
+    With minors M_0 = 1, M_(k+1) = u[k][k], the form is
+      Q(x) = sum_k (sum_(j>=k) u[k][j] x_j)^2 / (M_k M_(k+1)).
+    Scaling by the lcm of the denominators keeps Fincke-Pohst in integers.
+    """
+    n = len(u)
     minors = [1] + [u[k][k] for k in range(n)]
     scale = lcm(*(minors[k] * minors[k + 1] for k in range(n)))
     weight = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
-    top = 3 * scale  # enumerate every x with Q(x) <= 3
-    counts = [0, 0, 0, 0]
+    bound = top * scale  # enumerate every x with Q(x) <= top
+    counts = [0] * (top + 1)
     x = [0] * n
 
     def rec(k: int, rem: int) -> None:
         if k < 0:
-            counts[(top - rem) // scale] += 1
+            counts[(bound - rem) // scale] += 1
             return
         row = u[k]
         c = sum(row[j] * x[j] for j in range(k + 1, n))
@@ -310,63 +327,86 @@ def _search_facts(gram: GramMatrix) -> _SearchFacts:
             rec(k - 1, rem - weight[k] * y * y)
         x[k] = 0
 
-    rec(n - 1, top)
-    return _SearchFacts(
-        positive=gp,
-        order=tuple(sorted(range(n), key=lambda i: (gp[i][i], i))),
-        det=minors[n],
-        short=(counts[1], counts[2], counts[3]),
-    )
+    rec(n - 1, bound)
+    return counts
 
 
-def _complement_short_counts(entries: tuple[int, ...]) -> tuple[int, int, int]:
-    """Numbers of vectors of norm 1, 2 and 3 orthogonal to sigma in Z^d.
+def _complement_short_counts(entries: tuple[int, ...], top: int = 3) -> tuple[int, ...]:
+    """Numbers of vectors of norm 1 to top (3 or 4) orthogonal to sigma in Z^d.
 
-    Such vectors have one, two or three entries +-1.  With z zero entries
-    and nonzero blocks of equal entries of sizes m:
+    With z zero entries, nonzero blocks of equal entries of sizes m and
+    P = sum C(m, 2), the vectors, with entries +-1 or a single +-2, are:
     norm 1: +-e_i with sigma_i = 0, so 2z;
     norm 2: +-e_i +-e_j on two zeros, and +-(e_i - e_j) within a block, so
-    4 C(z, 2) + 2 sum C(m, 2);
+    4 C(z, 2) + 2 P;
     norm 3: signs on three zeros, +-e_i +-(e_j - e_k) with one zero and a
     pair in a block, and +-(e_i + e_j - e_k) with sigma_k = sigma_i + sigma_j
-    on three nonzero entries, so 8 C(z, 3) + 4 z sum C(m, 2) + 2 t, where t
-    counts the sets of three nonzero entries one of which is the sum of the
-    other two.
+    on three nonzero entries, so 8 C(z, 3) + 4 z P + 2 t, where t counts the
+    sets of three nonzero entries one of which is the sum of the other two;
+    norm 4: +-2 e_i on a zero, 2z; four entries +-1 on four zeros,
+    16 C(z, 4); on three zeros and one nonzero entry, none; on two zeros and
+    a pair in a block, 8 C(z, 2) P; on one zero and three nonzero entries,
+    4 z t; on four nonzero entries, 2 (q13 + q22).  Their signs split these
+    1 + 3 or 2 + 2 with equal sums, and a split and its negative give two
+    vectors: q13 counts the sets of four one of which is the sum of the other
+    three, q22 the unordered pairs of disjoint position pairs with equal
+    sums.  No four positive entries split both ways (d = a + b + c and
+    d + a = b + c give a = 0).
+    With m_w nonzero entries equal to w and c_s pairs of nonzero entries of
+    sum s, t = sum_w m_w c_w.  Pairs with equal sums share at most one
+    position, and (N - 2) P share one, {i, j} and {i, k} with sigma_j =
+    sigma_k, of N nonzero entries; so q22 = sum_s C(c_s, 2) - (N - 2) P.
+    Counting each set of three once per member v, without the pairs of sum
+    w - v that contain v, 3 T(w) = sum_v m_v (c_(w-v) - m_(w-2v) + [3v = w])
+    sets of three sum to w, and q13 = sum_w m_w T(w).
     """
     mult: dict[int, int] = {}
     for v in entries:
         mult[v] = mult.get(v, 0) + 1
     zeros = mult.pop(0, 0)
     pairs = sum(comb(m, 2) for m in mult.values())
-    triples = 0
+    sums: dict[int, int] = {}  # c_s
     values = sorted(mult)
     for i, u in enumerate(values):
-        triples += comb(mult[u], 2) * mult.get(2 * u, 0)
+        sums[2 * u] = sums.get(2 * u, 0) + comb(mult[u], 2)
         for w in values[i + 1 :]:
-            triples += mult[u] * mult[w] * mult.get(u + w, 0)
-    return (
+            sums[u + w] = sums.get(u + w, 0) + mult[u] * mult[w]
+    triples = sum(m * sums.get(v, 0) for v, m in mult.items())
+    counts = (
         2 * zeros,
         4 * comb(zeros, 2) + 2 * pairs,
         8 * comb(zeros, 3) + 4 * zeros * pairs + 2 * triples,
     )
+    if top == 3:
+        return counts
+    q22 = sum(comb(c, 2) for c in sums.values()) - (len(entries) - zeros - 2) * pairs
+    q13 = sum(
+        mw * mv * (sums.get(w - v, 0) - mult.get(w - 2 * v, 0) + (3 * v == w))
+        for w, mw in mult.items() for v, mv in mult.items()
+    ) // 3
+    return counts + (
+        2 * zeros + 16 * comb(zeros, 4) + 8 * comb(zeros, 2) * pairs
+        + 4 * zeros * triples + 2 * (q13 + q22),
+    )
 
 
-def _counts_admit(facts: _SearchFacts, sigma: Changemaker) -> bool:
+def _counts_admit(facts: _SearchFacts, sigma: Changemaker, norm4: int | None = None) -> bool:
     """Necessary condition for L = (Z^n, -G) to embed in sigma's complement.
 
     An embedding preserves norms and is injective, and its image has finite
     index k in the complement, whose determinant is |sigma|^2 (a changemaker
     contains a 1, so it is primitive).  Hence |det G| = k^2 |sigma|^2, L has
-    at most as many vectors of each norm 1, 2 and 3 as the complement, and
-    exactly as many when k = 1, since then L is isometric to the complement.
+    at most as many vectors of each norm as the complement, and exactly as
+    many when k = 1, since then L is isometric to the complement.  Norms 1
+    to 3 are checked, then norm 4 when L's norm-4 count `norm4` is given.
     """
     k2, r = divmod(facts.det, sigma.norm)
     if r or isqrt(k2) ** 2 != k2:
         return False
-    have = _complement_short_counts(sigma.entries)
-    if k2 == 1:
-        return facts.short == have
-    return all(a <= b for a, b in zip(facts.short, have))
+    fits = eq if k2 == 1 else le
+    if not all(map(fits, facts.short, _complement_short_counts(sigma.entries))):
+        return False
+    return norm4 is None or fits(norm4, _complement_short_counts(sigma.entries, 4)[3])
 
 
 def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | None:
@@ -380,11 +420,12 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     when |det G| is not a square times |sigma|^2 or when the counts of vectors
     of norm 1, 2 and 3 of the two lattices rule an embedding out (see
     ``_counts_admit``); each such rejection is itself a proof.  At index 1
-    (|det G| = |sigma|^2) the counts must be equal, because L is then
-    isometric to the complement.  Vectors are filled in increasing order of
-    the Gram diagonal; coordinates are processed from the largest sigma entry
-    down; candidate values run from high to low, so the embedding returned is
-    canonical and deterministic.
+    (|det G| = |sigma|^2) the counts must be equal.  Norm 4 is left out: for
+    one sigma, L's norm-4 count can cost more than a search (see
+    ``changemaker_obstruction``).  Vectors are filled in increasing order of
+    the Gram diagonal; coordinates are processed from the largest sigma
+    entry down; candidate values run from high to low, so the embedding
+    returned is canonical and deterministic.
     """
     d = gram.rank + 1
     if len(sigma) != d:
@@ -392,19 +433,18 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     facts = _search_facts(gram)  # ValueError unless gram is negative definite
     if sigma.norm == 0:
         return None  # the zero vector spans nothing; full rank is impossible
-    return _first_embedding(gram, facts, sigma)
+    return _first_embedding(gram, facts, sigma) if _counts_admit(facts, sigma) else None
 
 
 def _first_embedding(
     gram: GramMatrix, facts: _SearchFacts, sigma: Changemaker
 ) -> Embedding | None:
-    """``embed_in_complement`` for a nonzero sigma of length rank + 1, given
-    the facts about `gram`.  ``fill(t)`` returns the first embedding extending
-    the vectors filled so far, or None.  It sets vector t's coordinates,
-    largest sigma entry first, with an explicit stack, so the Python stack
-    grows by one frame per vector, and calls fill(t + 1) per candidate."""
-    if not _counts_admit(facts, sigma):
-        return None
+    """``embed_in_complement`` for a nonzero sigma of length rank + 1 that
+    ``_counts_admit``, given the facts about `gram`.  ``fill(t)`` returns the
+    first embedding extending the vectors filled so far, or None.  It sets
+    vector t's coordinates, largest sigma entry first, with an explicit
+    stack, so the Python stack grows by one frame per vector, and calls
+    fill(t + 1) per candidate."""
     n = gram.rank
     d = n + 1
 
@@ -526,6 +566,10 @@ def changemaker_obstruction(
     of norm-1 and norm-2 vectors; the enumeration then skips every sigma
     without them (see ``_changemakers``).  Otherwise every changemaker is
     enumerated, and each meets the count conditions of ``embed_in_complement``.
+    Once a search has failed, L's norm-4 vectors are counted, once, and
+    later sigma must pass the norm-4 counts too.  That count can take over
+    ten times as long as the norm <= 3 counts (the rank-30 form -I has 438,540
+    vectors of norm 4), which a query whose first search succeeds never pays.
     The facts about G are computed once, not once per changemaker.  A rank + 1
     above ``MAX_CHANGEMAKER_LENGTH`` raises ResourceCapExceeded.
     """
@@ -535,12 +579,18 @@ def changemaker_obstruction(
         raise ValueError(f"norm p must be positive, got {p}")
     found = []
     short = facts.short if facts.det == p else None
+    norm4 = None  # L's number of norm-4 vectors, counted once a search fails
     for entries in _changemakers(gram.rank + 1, p, short):
-        emb = _first_embedding(gram, facts, Changemaker(entries))
+        sigma = Changemaker(entries)
+        if not _counts_admit(facts, sigma, norm4):
+            continue
+        emb = _first_embedding(gram, facts, sigma)
         if emb is not None:
             found.append(emb)
             if not all_witnesses:
                 break
+        elif norm4 is None:
+            norm4 = _vector_counts(facts.elimination, 4)[4]
     if found:
         return ObstructionResult("witness", tuple(found))
     return ObstructionResult("obstructed", ())

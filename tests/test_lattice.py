@@ -193,10 +193,21 @@ def test_embed_rank_one():
     assert emb.verifies(la.GramMatrix.from_rows([[-1]]))
 
 
-def test_rank_30_search_stays_within_recursion_limit():
+def test_rank_30_search_stays_within_recursion_limit(monkeypatch):
     """The search takes one Python frame per vector.  A frame per coordinate
     of each vector would need about 30 * 33 frames here, near the default
-    limit of 1000, and the trivial witness would raise RecursionError."""
+    limit of 1000, and the trivial witness would raise RecursionError.
+    The witness is the first sigma searched, so L's norm-4 vectors, which
+    take over ten times as long to count as those of norm <= 3, are never
+    counted."""
+    vector_counts = la._vector_counts
+
+    def norm3_only(u, top):
+        if top > 3:
+            raise AssertionError("norm-4 vectors counted before a search failed")
+        return vector_counts(u, top)
+
+    monkeypatch.setattr(la, "_vector_counts", norm3_only)
     rank = 30
     minus_i = la.GramMatrix.from_rows(
         [[-1 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -430,10 +441,30 @@ def test_complement_short_counts_against_brute_force():
     assert checked == 306
 
 
+def test_complement_norm4_count_against_brute_force():
+    """The closed form against every vector of norm 4 in Z^d: +-2 e_i, and
+    the sign patterns of four entries +-1 (each pattern with its negative),
+    for all 9,232 changemakers of length <= 8 and norm < 200."""
+    checked = 0
+    for length in range(1, 9):
+        for norm in range(1, 200):
+            for s in la._changemakers(length, norm):
+                want = 2 * s.count(0)
+                for a, b, c, d in itertools.combinations(s, 4):
+                    want += 2 * (
+                        (a + b + c + d == 0) + (a + b + c - d == 0)
+                        + (a + b - c + d == 0) + (a + b - c - d == 0)
+                        + (a - b + c + d == 0) + (a - b + c - d == 0)
+                        + (a - b - c + d == 0) + (a - b - c - d == 0)
+                    )
+                assert la._complement_short_counts(s, 4)[3] == want, s
+                checked += 1
+    assert checked == 9232
+
+
 def test_short_counts_against_brute_force():
-    """Fincke-Pohst counts of norm-1, norm-2 and norm-3 vectors against every
-    vector of a box that contains them: |x_i|^2 <= 3 ((-G)^-1)_ii for
-    norm <= 3."""
+    """Fincke-Pohst counts of vectors of norm 1 to 4 against every vector of
+    a box that contains them: |x_i|^2 <= 4 ((-G)^-1)_ii for norm <= 4."""
     rng = random.Random(8)
     for _ in range(150):
         n = rng.randint(1, 4)
@@ -441,16 +472,17 @@ def test_short_counts_against_brute_force():
         gp = [[-x for x in row] for row in gram.entries]
         det = permutation_det(gp)
         box = [
-            isqrt(3 * permutation_det([r[:i] + r[i + 1:] for r in gp[:i] + gp[i + 1:]]) // det)
+            isqrt(4 * permutation_det([r[:i] + r[i + 1:] for r in gp[:i] + gp[i + 1:]]) // det)
             for i in range(n)
         ]
-        want = [0, 0, 0, 0]
+        want = [0] * 5
         for x in itertools.product(*(range(-b, b + 1) for b in box)):
             q = sum(gp[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
-            if q <= 3:
+            if q <= 4:
                 want[q] += 1
         facts = la._search_facts(gram)
         assert facts.short == (want[1], want[2], want[3]), gram
+        assert la._vector_counts(facts.elimination, 4) == want, gram
         assert facts.det == det
 
 
@@ -476,9 +508,18 @@ def test_targeted_enumeration_equals_filtered_enumeration():
     assert checked == 7526
 
 
+# the fig3-black parameters of the lattice-search benchmark: four obstructed
+# forms, then two with an early witness
+LATTICE_SEARCH_FORMS = (
+    (1, 4, 2, 4), (1, 4, 3, 3), (2, 3, 2, 4), (2, 3, 3, 4), (1, 2, 2, 3), (3, 2, 3, 2)
+)
+
+
 def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
-    """The filtered search against the slow path that tries every sigma, on
-    the 148 census forms, GD at 226 and two early-witness Goeritz forms."""
+    """The filtered search against the slow path that tries every sigma, with
+    neither the norm <= 3 nor the norm-4 counts, on the 148 census forms, GD
+    at 226, two early-witness Goeritz forms and the four obstructed forms of
+    the lattice-search benchmark."""
     from obstruct import goeritz as go
     from obstruct import manifolds as mf
 
@@ -487,7 +528,7 @@ def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
     ]
     assert len(cases) == 148
     cases.append((GD, 226))
-    for params in ((1, 2, 2, 3), (3, 2, 3, 2)):
+    for params in LATTICE_SEARCH_FORMS[:4] + ((1, 2, 2, 3), (3, 2, 3, 2)):
         gram = go.goeritz_matrix(go.fig3_black_graph(*params))
         cases.append((gram, abs(gram.determinant())))
 
@@ -496,12 +537,34 @@ def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
 
     filtered = search()
     every_sigma = la._changemakers
-    monkeypatch.setattr(la, "_counts_admit", lambda facts, sigma: True)
+    monkeypatch.setattr(la, "_counts_admit", lambda facts, sigma, norm4=None: True)
     monkeypatch.setattr(
         la, "_changemakers", lambda length, norm, short=None: every_sigma(length, norm)
     )
     assert search() == filtered
     assert sum(r.status == "witness" for r in filtered) == 8
+
+
+def test_norm4_count_after_first_failed_search(monkeypatch):
+    """A lattice-search pass (the six fig3-black forms at p = |det|, then GD
+    at 226 with all witnesses) runs 12 embedding searches and counts L's
+    norm-4 vectors 5 times: once per query in which a search failed.  Before
+    the norm-4 rule it ran 37 searches."""
+    from obstruct import goeritz as go
+
+    searches, tops = [], []
+    first_embedding, vector_counts = la._first_embedding, la._vector_counts
+    monkeypatch.setattr(
+        la, "_first_embedding", lambda g, f, s: searches.append(s) or first_embedding(g, f, s)
+    )
+    monkeypatch.setattr(
+        la, "_vector_counts", lambda u, top: tops.append(top) or vector_counts(u, top)
+    )
+    for params in LATTICE_SEARCH_FORMS:
+        gram = go.goeritz_matrix(go.fig3_black_graph(*params))
+        la.changemaker_obstruction(gram, abs(gram.determinant()))
+    assert len(la.changemaker_obstruction(GD, 226, all_witnesses=True).witnesses) >= 1
+    assert (len(searches), tops.count(4)) == (12, 5)
 
 
 def test_fig3_black_grid_verdicts():
