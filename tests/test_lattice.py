@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import json
 import random
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 
@@ -508,6 +508,7 @@ def test_targeted_enumeration_equals_filtered_enumeration():
     assert checked == 7526
 
 
+
 # the fig3-black parameters of the lattice-search benchmark: four obstructed
 # forms, then two with an early witness
 LATTICE_SEARCH_FORMS = (
@@ -565,6 +566,46 @@ def test_norm4_count_after_first_failed_search(monkeypatch):
         la.changemaker_obstruction(gram, abs(gram.determinant()))
     assert len(la.changemaker_obstruction(GD, 226, all_witnesses=True).witnesses) >= 1
     assert (len(searches), tops.count(4)) == (12, 5)
+
+
+def test_enumeration_digest():
+    """Locks _changemakers' output, in order: untargeted for every length 1..10
+    and norm 1..300, and at every (norm-1, norm-2) target that one of those
+    changemakers has, or that has z = length - 1 or length - 2 zeros and at
+    most one block pair (most of these have no changemaker; they catch a
+    nonzero entry before position z, or a zero at it); then the numbers
+    yielded at p = |det| with the form's own counts as target, for the six
+    lattice-search forms, GD (p = 226) and fig3-black(3,4,3,4) (p = 2703)."""
+    from obstruct import goeritz as go
+
+    every, targeted = hashlib.sha256(), hashlib.sha256()
+    sizes = [0, 0]
+    for length in range(1, 11):
+        high_z = [
+            (2 * z, 4 * comb(z, 2) + 2 * pairs)
+            for z in range(max(length - 2, 0), length)
+            for pairs in (0, 1)
+        ]
+        for norm in range(1, 301):
+            cms = list(la._changemakers(length, norm))
+            every.update(repr(cms).encode())
+            sizes[0] += len(cms)
+            for target in sorted({la._complement_short_counts(c)[:2] for c in cms}.union(high_z)):
+                got = list(la._changemakers(length, norm, target))
+                targeted.update(repr((target, got)).encode())
+                sizes[1] += 1
+    assert (sizes, every.hexdigest(), targeted.hexdigest()) == (
+        [101897, 35511],
+        "7dd203446352e57005185719f8514f9cc6ad8862005d2f37b20e24ce66bb75a7",
+        "1a96672822ca2ab645495d275957854cc9cdf0db22d43791cab065d243851c41",
+    )
+    grams = [go.goeritz_matrix(go.fig3_black_graph(*p)) for p in LATTICE_SEARCH_FORMS]
+    grams += [GD, go.goeritz_matrix(go.fig3_black_graph(3, 4, 3, 4))]
+    yielded = []
+    for gram in grams:
+        facts = la._search_facts(gram)
+        yielded.append(len(list(la._changemakers(gram.rank + 1, facts.det, facts.short))))
+    assert yielded == [11, 40, 186, 220, 2, 2, 9, 1122]
 
 
 def test_fig3_black_grid_verdicts():
