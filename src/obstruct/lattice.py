@@ -29,7 +29,8 @@ from typing import Iterator, NamedTuple
 from ._record import Record
 from .numtheory import ResourceCapExceeded
 
-# _changemakers recurses once per entry; Python's default recursion limit is 1000
+# _changemakers nests one generator frame per entry but the last two, so
+# length - 2 frames; Python's default recursion limit is 1000
 MAX_CHANGEMAKER_LENGTH = 512
 
 
@@ -158,9 +159,22 @@ def _changemakers(
     entries come in contiguous blocks of equal values, so the block sum
     sum C(m, 2) only grows as entries are appended, and a prefix whose sum
     exceeds (short[1] - 4 C(z, 2)) / 2 is cut, as is one whose sum cannot
-    reach it even if every later entry joins its last block.  The last two
-    entries come from the representations of the remaining norm as a sum of
-    two squares.
+    reach it even if every later entry joins its last block.
+
+    The last three entries c <= a <= b are placed by one loop (for length 2,
+    c is an empty entry 0 before the vector).  With S the sum of the entries
+    before c and r the norm they leave, a triple completes the prefix to a
+    changemaker of norm `norm` exactly when c <= S + 1, a <= S + c + 1,
+    b <= S + c + a + 1 and a^2 + b^2 = r - c^2; then 3 c^2 <= r.  So c runs
+    from the least value the prefix and the zero rule allow to
+    min(S + 1, isqrt(r // 3)), and (a, b) over the representations of
+    r - c^2 as a sum of two squares with a <= b (memoized per call), kept
+    when they meet the inequalities, the zero rule for a (b > 0 always, as
+    norm >= 1 and z < length) and the exact block count.  That is every
+    changemaker with this prefix, in lex order, and no frame is opened for
+    a pair that cannot exist.  A c larger than the entry before it starts a
+    block, which leaves the block count the same for every such c; so when
+    that count cannot reach the target at one c, no larger c is tried.
     """
     if norm > changemaker_max_norm(length):
         return
@@ -181,32 +195,51 @@ def _changemakers(
     sig = [0] * length
     two_squares: dict[int, list[tuple[int, int]]] = {}
 
-    def rec(i: int, prefix_sum: int, rem: int, pairs: int, run: int) -> Iterator[tuple[int, ...]]:
-        # pairs: sum C(m, 2) over the nonzero blocks so far; run: length of
-        # the nonzero block that ends the prefix (0 after a zero entry)
-        prev = sig[i - 1] if i else 0
+    def rec(
+        i: int, prev: int, prefix_sum: int, rem: int, pairs: int, run: int
+    ) -> Iterator[tuple[int, ...]]:
+        # prev: the entry before position i (0 at the start); pairs: sum
+        # C(m, 2) over the nonzero blocks so far; run: length of the nonzero
+        # block that ends the prefix (0 after a zero entry)
         lo = max(prev, 1) if i >= zhi else prev
-        if i == length - 2:
-            reps = two_squares.get(rem)
-            if reps is None:
-                reps = two_squares[rem] = []
-                for a in range(isqrt(rem // 2) + 1):
-                    b = isqrt(rem - a * a)
-                    if b * b == rem - a * a:
-                        reps.append((a, b))
-            hi = 0 if i < zlo else prefix_sum + 1
-            # b >= a >= lo; b is never forced to 0, since norm >= 1
-            for a, b in reps:
-                if a > hi:
-                    break
-                if a < lo or b > prefix_sum + a + 1:
+        if i == length - 3:
+            # c = sigma_i, then (a, b) = the last two entries.  For length 2,
+            # i = -1 < zlo forces c = 0, the empty entry before the vector;
+            # it lands in the last slot of sig, which is never yielded.
+            hi = 0 if i < zlo else min(prefix_sum + 1, isqrt(rem // 3))
+            alo = 1 if i + 1 >= zhi else 0
+            for c in range(lo, hi + 1):
+                cpairs, crun = (pairs + run, run + (c > 0)) if c == prev else (pairs, 1)
+                # a and b add at most crun and crun + 1 pairs
+                if cpairs > phi or cpairs + 2 * crun + 1 < plo:
+                    if c > prev:
+                        break  # the same for every larger c, which starts a block too
                     continue
-                npairs, nrun = (pairs + run, run + (a > 0)) if a == prev else (pairs, 1)
-                if b == a:
-                    npairs += nrun
-                if plo <= npairs <= phi:
-                    sig[i], sig[i + 1] = a, b
-                    yield tuple(sig)
+                rest = rem - c * c
+                reps = two_squares.get(rest)
+                if reps is None:
+                    if rest > 5 * (prefix_sum + c + 1) ** 2:
+                        continue  # a <= S + c + 1 and b <= 2 (S + c + 1): no fill
+                    reps = two_squares[rest] = []
+                    # squares are 0 or 1 mod 4, so no sum of two is 3 mod 4
+                    for a in range(isqrt(rest // 2) + 1 if rest % 4 != 3 else 0):
+                        b = isqrt(rest - a * a)
+                        if b * b == rest - a * a:
+                            reps.append((a, b))
+                if not reps:
+                    continue
+                ahi = 0 if i + 1 < zlo else prefix_sum + c + 1
+                sig[i] = c
+                for a, b in reps:
+                    if a > ahi:
+                        break
+                    if a < c or a < alo or b > prefix_sum + c + a + 1:
+                        continue
+                    npairs, nrun = (cpairs + crun, crun + (a > 0)) if a == c else (cpairs, 1)
+                    if b == a:
+                        npairs += nrun
+                    if plo <= npairs <= phi:
+                        yield (*sig[: i + 1], a, b)
             return
         hi = 0 if i < zlo else min(prefix_sum + 1, isqrt(rem))
         slots = length - i - 1  # entries after this one
@@ -223,9 +256,9 @@ def _changemakers(
             if npairs > phi or npairs + slots * nrun + joined < plo:
                 continue
             sig[i] = v
-            yield from rec(i + 1, prefix_sum + v, nrem, npairs, nrun)
+            yield from rec(i + 1, v, prefix_sum + v, nrem, npairs, nrun)
 
-    yield from rec(0, 0, norm, 0, 0)
+    yield from rec(min(0, length - 3), 0, 0, norm, 0, 0)
 
 
 class Embedding(Record):

@@ -508,6 +508,29 @@ def test_targeted_enumeration_equals_filtered_enumeration():
     assert checked == 7526
 
 
+def test_targeted_enumeration_past_length_8():
+    """The same oracle for lengths 9 to 12, where the loop that places the
+    last three entries runs below deeper prefixes: at norms 1, 2 and 5 and
+    eight seeded norms up to 260, every target some changemaker has, and the
+    targets with z = length - 1 or length - 2 zeros.  Those are real only at
+    norm 1, (0, ..., 0, 1), and at norms 2 and 5, (0, ..., 0, 1, 1) and
+    (0, ..., 0, 1, 2)."""
+    rng = random.Random(17)
+    checked = high_z = 0
+    for length in range(9, 13):
+        for norm in [1, 2, 5] + rng.sample(range(6, 261), 8):
+            cms = list(la._changemakers(length, norm))
+            counts = {c: la._complement_short_counts(c)[:2] for c in cms}
+            targets = set(counts.values())
+            for z in (length - 1, length - 2):
+                targets.update((2 * z, 4 * comb(z, 2) + 2 * pairs) for pairs in (0, 1))
+            for target in targets:
+                got = list(la._changemakers(length, norm, target))
+                assert got == [c for c in cms if counts[c] == target], (length, norm, target)
+                checked += 1
+                high_z += target[0] >= 2 * length - 4 and bool(got)
+    assert (checked, high_z) == (1648, 12)
+
 
 # the fig3-black parameters of the lattice-search benchmark: four obstructed
 # forms, then two with an early witness
