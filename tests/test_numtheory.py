@@ -71,6 +71,35 @@ def test_factor_prime_power():
     assert nt.factor(1000003**2).factors == ((1000003, 2),)
 
 
+def sample_63_bit(seed=2**63 - 25):
+    """200 products of 2-4 random primes in [1000, 2^31), each prime below
+    2^(63 // k) so the product stays below 2^63, then 200 uniform n < 2^63."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(200):
+        k = rng.randint(2, 4)
+        hi = min(2**31, 2 ** (63 // k))
+        n = 1
+        for _ in range(k):
+            p = rng.randrange(1000, hi)
+            while not nt.is_prime(p):
+                p = p + 1 if p + 1 < hi else 1000
+            n *= p
+        out.append(n)
+    return out + [rng.randrange(1, 2**63) for _ in range(200)]
+
+
+def test_factor_digest():
+    """Every factor(n).factors for n <= 10^5 and on the 63-bit sample,
+    pinned by digest."""
+    small = [nt.factor(n).factors for n in range(1, 10**5 + 1)]
+    digest = hashlib.sha256(json.dumps(small).encode()).hexdigest()
+    assert digest == "f3a664601bbd512c6736114161aa38a340c781115d0ff803a6f4cd20453378ed"
+    large = [nt.factor(n).factors for n in sample_63_bit()]
+    digest = hashlib.sha256(json.dumps(large).encode()).hexdigest()
+    assert digest == "e6d5fae95bbb5a9e117323a4ca2ab3aba74c2da5d8d1c2d248ef7aa398616bf6"
+
+
 def test_factor_range_errors():
     with pytest.raises(ValueError):
         nt.factor(0)
