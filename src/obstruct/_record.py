@@ -11,7 +11,8 @@ class Record:
     """An immutable, hashable record with type-strict equality.
 
     A subclass names its fields in ``__slots__``, in constructor order; its
-    ``__init__`` validates the arguments and stores them with ``_set``.
+    ``__init__`` checks the arguments it cannot trust and stores them with
+    ``_set``.
     Records compare and hash by their fields, but equal only an instance of
     the same class: ``TorusKnot(3, 5) != Lens(3, 5)``, and no record equals
     a tuple.  ``repr`` is ``Name(field=value, ...)``.

@@ -2,7 +2,8 @@
 
 Everything here is computed with exact integer (or ``Fraction``) arithmetic:
 deterministic factorization, square roots modulo n decided by Euler's criterion
-(one routine for every prime power, roots joined by the CRT), and membership
+(one routine for every prime power, roots joined by the CRT) after a Jacobi
+symbol test that rules most non-squares out without factoring n, and membership
 plus density computations for two density-zero sets of integers:
 
 * ``S``  -- n such that every odd prime divisor of n^2 + 1 is 1 mod 8;
@@ -21,8 +22,8 @@ limit bytes and refuses limits above ``MAX_DENSITY_LIMIT`` (10^8) with
 ``in_Sprime`` decide a single n.
 
 Inputs are restricted to signed 64-bit range.  All functions are pure;
-``factor`` is memoized, and its results are immutable, so concurrent use is
-safe.
+``factor`` keeps its last four results (a verdict factors the same n for both
+signs), and its results are immutable, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from ._record import Record
 
@@ -102,6 +103,7 @@ def _primes_upto(limit: int, residue: int = 0, modulus: int = 1) -> Iterator[int
 
 
 _TRIAL_PRIMES = tuple(_primes_upto(_TRIAL_LIMIT))
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 
 # Deterministic Miller-Rabin witnesses, sufficient for all n < 3.3 * 10^24.
@@ -165,46 +167,47 @@ def _pollard_rho(n: int) -> int:
 
 
 class Factorization(Record):
-    """A complete prime factorization: value == prod(p**e)."""
+    """A complete prime factorization: value == prod(p**e) over ascending
+    primes p with e >= 1.
+
+    :func:`factor` builds it and has proved each prime, so the constructor
+    only stores the fields.
+    """
 
     __slots__ = ("value", "factors")
 
     def __init__(self, value: int, factors: tuple[tuple[int, int], ...]) -> None:
-        prod = 1
-        prev = 1
-        for p, e in factors:
-            if p <= prev or e < 1:
-                raise ValueError("factors must be ascending primes with e >= 1")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            prod *= p**e
-            prev = p
-        if prod != value:
-            raise ValueError("factor list does not multiply to the value")
         self._set(value, factors)
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=4)
 def factor(n: int) -> Factorization:
     """Complete prime factorization of n >= 1.
 
-    Trial division by primes below 1000, then deterministic Miller-Rabin and
-    Pollard rho on whatever is left.  Results are immutable and memoized.
+    One gcd with the product of the primes below 1000 gives the small primes
+    that divide n, and only those are divided out; deterministic Miller-Rabin
+    and Pollard rho then split whatever is left.  Results are immutable; the
+    last four are cached.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     _check_width(n)
     found: dict[int, int] = {}
     m = n
+    g = gcd(n, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
-        if p * p > m:
+        if g == 1:
             break
-        while m % p == 0:
-            found[p] = found.get(p, 0) + 1
-            m //= p
+        if g % p == 0:
+            g //= p
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            found[p] = e
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
@@ -215,6 +218,27 @@ def factor(n: int) -> Factorization:
         stack.append(d)
         stack.append(m // d)
     return Factorization(n, tuple(sorted(found.items())))
+
+
+def _jacobi(a: int, m: int) -> int:
+    """The Jacobi symbol (a / m) for odd m >= 1: the product of the Legendre
+    symbols (a / p) over the prime factors p of m, with multiplicity.
+
+    Computed without factoring m: (2 / m) = -1 exactly when m = 3, 5 mod 8,
+    and for odd coprime a, m reciprocity gives (a / m) = -(m / a) exactly
+    when a = m = 3 mod 4.  The symbol is 0 when gcd(a, m) > 1.
+    """
+    a %= m
+    t = 1
+    while a:
+        v = (a & -a).bit_length() - 1
+        a >>= v
+        if v % 2 and m % 8 in (3, 5):
+            t = -t
+        if a % 4 == 3 and m % 4 == 3:
+            t = -t
+        a, m = m % a, a
+    return t if m == 1 else 0
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -291,15 +315,22 @@ def square_root_mod(a: int, n: int) -> int | None:
     """A witness x in [0, n) with x^2 = a (mod n), or None if a is not a
     square modulo n.
 
-    Decides via the factorization of n, one root modulo each prime power
-    (:func:`_sqrt_mod_prime_power`), and a CRT combination; the witness is
-    deterministic: the smaller of x and n - x.
+    First the Jacobi symbol (a / m) over the odd part m of n: -1 proves that
+    a is not a square, and n is not factored.  For if x^2 = a mod n, then
+    x^2 = a mod m; when gcd(a, m) = 1, a is then a nonzero square modulo
+    every prime p of m, so each Legendre factor (a / p) is +1, and when
+    gcd(a, m) > 1 some factor is 0.  Otherwise decides via the factorization
+    of n, one root modulo each prime power (:func:`_sqrt_mod_prime_power`),
+    and a CRT combination; the witness is deterministic: the smaller of x and
+    n - x.
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     _check_width(n)
     _check_width(a)
     a %= n
+    if _jacobi(a, n >> ((n & -n).bit_length() - 1)) == -1:
+        return None
     x, mod = 0, 1
     for p, e in factor(n).factors:
         pe = p**e

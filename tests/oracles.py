@@ -34,6 +34,19 @@ def torus_knot_surgery(p, q, r):
     return SmallSFS((abs(p), abs(q), delta), abs(num))
 
 
+def check_factorization(f):
+    """Assert the invariants of a Factorization, which factor() guarantees
+    and the constructor does not check: ascending primes, each proved by
+    is_prime, with exponents e >= 1, multiplying to the value."""
+    product, prev = 1, 1
+    for p, e in f.factors:
+        assert p > prev and e >= 1, f"{f}: primes not ascending, or e < 1"
+        assert nt.is_prime(p), f"{f}: {p} is not prime"
+        product *= p**e
+        prev = p
+    assert product == f.value, f"{f}: the factors multiply to {product}"
+
+
 def chi_8m(a, m):
     """(2m / p) for the least prime p = a mod 8m, where m is odd and a is a
     unit mod 8m; by quadratic reciprocity this is a character of a."""

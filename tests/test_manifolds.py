@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from obstruct import manifolds as mf
+from obstruct import numtheory as nt
 from obstruct.numtheory import ResourceCapExceeded, square_root_mod
 
 # ---------------------------------------------------------------------------
@@ -142,27 +143,58 @@ def nontrivial_knots(limit):
     return out
 
 
-def test_residue_agreement_small_indices():
-    # ab * cd = 1 mod n = |abcd - 1|, so each sign's two residue classes are
-    # inverses and squares together; integral_obstruction roots only the ab
-    # class.  Small indices, the (2,odd) grid and its mirrors, and random
-    # splices with indices up to 3,000, the verdict-stream range.
-    knots = nontrivial_knots(9)
-    splices = [mf.Splice(k1, k2) for k1, k2 in itertools.product(knots, knots)]
+def grid_and_random_splices(seed):
+    """The (2,odd) grid 1 <= a <= b < 20, its mirrors, and 500 seeded random
+    splices with indices up to 3,000, the verdict-stream range."""
     grid = [mf.Splice.of(2 * a + 1, 2, 2 * b + 1, 2) for a in range(1, 20) for b in range(a, 20)]
-    rng = random.Random(15)
+    rng = random.Random(seed)
     randoms = []
     while len(randoms) < 500:
         a, b, c, d = (rng.randint(2, 3000) for _ in range(4))
         if gcd(a, b) == gcd(c, d) == 1:
             randoms.append(mf.Splice.of(rng.choice((a, -a)), b, rng.choice((c, -c)), d))
-    for y in splices + grid + [y.mirror() for y in grid] + randoms:
+    return grid + [y.mirror() for y in grid] + randoms
+
+
+def test_residue_agreement_small_indices():
+    # ab * cd = 1 mod n = |abcd - 1|, so each sign's two residue classes are
+    # inverses and squares together; integral_obstruction roots only the ab
+    # class.  Small indices, then the grid and random splices.
+    knots = nontrivial_knots(9)
+    splices = [mf.Splice(k1, k2) for k1, k2 in itertools.product(knots, knots)]
+    for y in splices + grid_and_random_splices(15):
         n = y.h1_order()
         for sign in (+1, -1):
             ob = mf.integral_obstruction(y, sign)
             assert ob.residue_ab * ob.residue_cd % n == 1, (y, sign)
             assert (square_root_mod(ob.residue_cd, n) is None) == ob.obstructed, (y, sign)
             assert ob.obstructed or ob.witness ** 2 % n == ob.residue_ab
+
+
+def test_jacobi_exit_matches_factoring_on_splices(monkeypatch):
+    """Both signs of the grid, its mirrors and 500 seeded splices give the
+    same obstruction with and without square_root_mod's Jacobi exit."""
+    splices = grid_and_random_splices(19)
+    fast = [mf.integral_obstruction(y, sign) for y in splices for sign in (1, -1)]
+    odd_part = [ob.n >> ((ob.n & -ob.n).bit_length() - 1) for ob in fast]
+    exits = sum(nt._jacobi(ob.residue_ab, m) == -1 for ob, m in zip(fast, odd_part))
+    monkeypatch.setattr(nt, "_jacobi", lambda a, m: 1)
+    slow = [mf.integral_obstruction(y, sign) for y in splices for sign in (1, -1)]
+    assert fast == slow
+    assert exits > 100
+
+
+def test_verdict_factors_each_n_at_most_once():
+    """splice-2-3 (n = 37) has Jacobi symbol -1 for both signs and never
+    factors; splice-3-4 (n = 145) has +1 on a non-square, factors for the
+    first sign and finds n in factor's cache for the second."""
+    nt.factor.cache_clear()
+    mf.not_surgery_verdict(mf.Splice.of(2, 3, 2, -3))
+    assert nt.factor.cache_info().misses == 0
+    nt.factor.cache_clear()
+    mf.not_surgery_verdict(mf.Splice.of(3, 4, -3, 4))
+    info = nt.factor.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -89,13 +89,20 @@ def sample_63_bit(seed=2**63 - 25):
     return out + [rng.randrange(1, 2**63) for _ in range(200)]
 
 
+def factors_checked(n):
+    f = nt.factor(n)
+    assert f.value == n
+    oracles.check_factorization(f)
+    return f.factors
+
+
 def test_factor_digest():
     """Every factor(n).factors for n <= 10^5 and on the 63-bit sample,
-    pinned by digest."""
-    small = [nt.factor(n).factors for n in range(1, 10**5 + 1)]
+    pinned by digest, and each one a complete prime factorization."""
+    small = [factors_checked(n) for n in range(1, 10**5 + 1)]
     digest = hashlib.sha256(json.dumps(small).encode()).hexdigest()
     assert digest == "f3a664601bbd512c6736114161aa38a340c781115d0ff803a6f4cd20453378ed"
-    large = [nt.factor(n).factors for n in sample_63_bit()]
+    large = [factors_checked(n) for n in sample_63_bit()]
     digest = hashlib.sha256(json.dumps(large).encode()).hexdigest()
     assert digest == "e6d5fae95bbb5a9e117323a4ca2ab3aba74c2da5d8d1c2d248ef7aa398616bf6"
 
@@ -110,12 +117,15 @@ def test_factor_range_errors():
 
 
 def test_factorization_invariants_enforced():
-    with pytest.raises(ValueError):
-        nt.Factorization(12, ((3, 1), (2, 2)))  # primes out of order
-    with pytest.raises(ValueError):
-        nt.Factorization(12, ((2, 2), (3, 2)))  # wrong product
-    with pytest.raises(ValueError):
-        nt.Factorization(16, ((4, 2),))  # 4 is not prime
+    """The oracle that checks every factor(n) of test_factor_digest rejects
+    each kind of bad factor list."""
+    oracles.check_factorization(nt.Factorization(12, ((2, 2), (3, 1))))
+    with pytest.raises(AssertionError, match="ascending"):
+        oracles.check_factorization(nt.Factorization(12, ((3, 1), (2, 2))))
+    with pytest.raises(AssertionError, match="multiply"):
+        oracles.check_factorization(nt.Factorization(12, ((2, 2), (3, 2))))
+    with pytest.raises(AssertionError, match="not prime"):
+        oracles.check_factorization(nt.Factorization(16, ((4, 2),)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +154,33 @@ def test_quadratic_reciprocity_to_500():
             assert legendre(p, q) * legendre(q, p) == eps
 
 
+def test_jacobi_is_product_of_legendre():
+    """(a / m) for every odd m < 2000 and every a mod m, against the product
+    of the oracle's Legendre symbols over the factors of m."""
+    table = {}
+    for m in range(1, 2000, 2):
+        factors = trial_division(m)
+        for p, _ in factors:
+            if p not in table:
+                table[p] = [legendre(a, p) for a in range(p)]
+        for a in range(m):
+            want = 1
+            for p, e in factors:
+                want *= table[p][a % p] ** e
+            assert nt._jacobi(a, m) == want, (a, m)
+    assert nt._jacobi(-1, 7) == -1  # a is reduced mod m first
+
+
 # ---------------------------------------------------------------------------
 # modular square roots
+
+
+def square_root_without_jacobi(monkeypatch, a, n):
+    """square_root_mod with the Jacobi exit disabled: the factoring path alone
+    decides, the oracle for the exit."""
+    with monkeypatch.context() as mp:
+        mp.setattr(nt, "_jacobi", lambda a, m: 1)
+        return nt.square_root_mod(a, n)
 
 
 def test_is_square_mod_examples():
@@ -208,6 +243,22 @@ def test_sqrt_mod_prime_on_63_bit_primes():
                 assert r * r % p == a, (a, p)
                 if s == 1:
                     assert r == pow(a, (p + 1) // 4, p), (a, p)
+
+
+def test_jacobi_exit_matches_factoring_on_63_bit_sample(monkeypatch):
+    """On each n of the 63-bit sample, a random residue and a square, each with
+    both signs: the same witness or None with and without the Jacobi exit."""
+    rng = random.Random(19)
+    exits = 0
+    for n in sample_63_bit():
+        x = rng.randrange(n)
+        for a in (rng.randrange(n), x * x % n):
+            for signed in (a, -a):
+                got = nt.square_root_mod(signed, n)
+                assert got == square_root_without_jacobi(monkeypatch, signed, n), (signed, n)
+                m = n >> ((n & -n).bit_length() - 1)
+                exits += nt._jacobi(signed, m) == -1
+    assert exits > 100
 
 
 @settings(max_examples=300, deadline=None)
