@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import time
@@ -354,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     name = os.environ.get("OBSTRUCT_LOG")
     if name:
+        import logging  # only when asked for: it costs start-up time
         level = getattr(logging, name.upper(), None)  # may be no level, as BASIC_FORMAT
         logging.basicConfig(level=level if type(level) is int else logging.INFO)
     ap = build_parser()

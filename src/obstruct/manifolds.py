@@ -25,7 +25,6 @@ assumption.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -35,8 +34,6 @@ from . import goeritz as _goeritz
 from . import lattice as _lattice
 from ._record import Record
 from .numtheory import ResourceCapExceeded, in_S, in_Sprime, square_root_mod
-
-log = logging.getLogger("obstruct.manifolds")
 
 MAX_CENSUS_PRODUCT = 10**4  # largest census bound: 8,463 rows
 
@@ -76,7 +73,11 @@ class TorusKnot(Record):
         return self.p * self.q
 
     def mirror(self) -> "TorusKnot":
-        return TorusKnot(-self.p, self.q)
+        if self.is_trivial:
+            return self
+        knot = object.__new__(TorusKnot)  # (-p, q) is canonical when (p, q) is
+        knot._set(-self.p, self.q)
+        return knot
 
     def representatives(self) -> tuple[tuple[int, int], ...]:
         """The four index pairs naming this knot."""
@@ -431,7 +432,7 @@ _SYMMETRY_ASSUMPTION = (
 
 def _shortcut_report(y: Splice) -> ShortcutReport | None:
     f1, f2 = y.first, y.second
-    if f2 == f1.mirror():
+    if f2.p == -f1.p and f2.q == f1.q:  # f2 is the mirror of f1
         n = abs(f1.product)
         return ShortcutReport(
             shape="opposite-mirror-pair",
@@ -536,7 +537,8 @@ class CensusRow(NamedTuple):
 
 def _census_row(a: int, b: int) -> CensusRow:
     report = _changemaker_report(Splice.of(2 * a + 1, 2, 2 * b + 1, 2))
-    log.debug("census row (%d,%d): n=%d %s", a, b, -report.slope, report.status)
+    import logging  # here, not at import: most commands never log
+    logging.getLogger(__name__).debug("census row (%d,%d): n=%d %s", a, b, -report.slope, report.status)
     return CensusRow(a, b, -report.slope, report.status, report.sigma)
 
 

@@ -38,9 +38,9 @@ from ._record import Record
 
 MAX_INPUT = 2**63 - 1
 
-# Trial division handles all factors up to this bound; anything larger goes
-# through Miller-Rabin / Pollard rho.
-_TRIAL_LIMIT = 1000
+# One gcd finds every prime factor below this bound; a cofactor below its
+# square is then prime, and a larger one goes to Miller-Rabin / Pollard rho.
+_TRIAL_LIMIT = 4096
 
 # density() sieves an array of about limit bytes, so its limit is capped.
 MAX_DENSITY_LIMIT = 10**8
@@ -106,23 +106,34 @@ _TRIAL_PRIMES = tuple(_primes_upto(_TRIAL_LIMIT))
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 
-# Deterministic Miller-Rabin witnesses, sufficient for all n < 3.3 * 10^24.
+# Miller-Rabin bases.  psi_k is the least odd composite that is a strong
+# probable prime to each of the first k, so those k prove every n < psi_k
+# (Jaeschke 1993; Jiang and Deng 2014 for psi_9 to psi_12; OEIS A014233).
+# All 12 prove n < psi_12 = 318,665,857,834,031,151,167,461 (about 3.2e23).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# (psi_k, k): below psi_k the first k bases suffice.  psi_8 = psi_7 and
+# psi_10 = psi_11 = psi_9, so 8, 10 and 11 bases never help.
+_MR_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+              (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 64-bit integers."""
+    """Whether n is prime; a proof for n < psi_12 (about 3.2e23), so for
+    every 64-bit n.  A larger n gets all 12 bases: a strong probable-prime
+    test, which psi_12 itself passes."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    k = next((k for bound, k in _MR_BOUNDS if n < bound), len(_MR_BASES))
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -152,7 +163,7 @@ def _pollard_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # % is non-negative
                 g = gcd(q, n)
                 k += 128
             r *= 2
@@ -160,7 +171,7 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)  # gcd ignores the sign
         if g != n:
             return g
     raise RuntimeError(f"pollard rho failed on {n}")  # pragma: no cover
@@ -183,40 +194,59 @@ class Factorization(Record):
         return tuple(p for p, _ in self.factors)
 
 
+def _split(n: int) -> Iterator[tuple[int, int]]:
+    """The prime factors of n >= 1 as pairs (p, e), e >= 1: the primes below
+    _TRIAL_LIMIT ascending with their exponents, then each larger one as
+    often as it occurs.  Each cofactor c that has no prime below
+    _TRIAL_LIMIT is first yielded as (c, 0), so a caller can stop at c.
+
+    g = gcd(n, _TRIAL_PRODUCT) is the product of the distinct primes below
+    _TRIAL_LIMIT that divide n; once p^2 > g and g has no prime below p, g
+    is 1 or a prime.  A cofactor c < _TRIAL_LIMIT^2 is prime, since a
+    composite has a prime factor at most its square root; a larger c is
+    proved by :func:`is_prime` or split by Pollard rho.
+    """
+    g = gcd(n, _TRIAL_PRODUCT)
+    small = []
+    for p in _TRIAL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            small.append(p)
+    if g > 1:
+        small.append(g)
+    for p in small:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        yield p, e
+    stack = [n] if n > 1 else []
+    while stack:
+        c = stack.pop()
+        yield c, 0
+        if c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
+            yield c, 1
+        else:
+            d = _pollard_rho(c)
+            stack += (d, c // d)
+
+
 @lru_cache(maxsize=4)
 def factor(n: int) -> Factorization:
-    """Complete prime factorization of n >= 1.
-
-    One gcd with the product of the primes below 1000 gives the small primes
-    that divide n, and only those are divided out; deterministic Miller-Rabin
-    and Pollard rho then split whatever is left.  Results are immutable; the
+    """Complete prime factorization of n >= 1, by :func:`_split`: one gcd
+    finds the primes below 4096, then Miller-Rabin, with as many bases as
+    each cofactor's size needs, and Pollard rho.  Results are immutable; the
     last four are cached.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     _check_width(n)
     found: dict[int, int] = {}
-    m = n
-    g = gcd(n, _TRIAL_PRODUCT)
-    for p in _TRIAL_PRIMES:
-        if g == 1:
-            break
-        if g % p == 0:
-            g //= p
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            found[p] = e
-    stack = [m] if m > 1 else []
-    while stack:
-        m = stack.pop()
-        if m <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
-            found[m] = found.get(m, 0) + 1
-            continue  # no factor below _TRIAL_LIMIT remains, so a small m is prime
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+    for p, e in _split(n):
+        if e:
+            found[p] = found.get(p, 0) + e
     return Factorization(n, tuple(sorted(found.items())))
 
 
@@ -352,27 +382,7 @@ def _odd_divisors_one_mod(d: int, modulus: int) -> bool:
     1 mod modulus is itself 1 mod modulus, so a cofactor in any other class
     must contain a bad prime, and we can stop there without splitting it.
     """
-    while d % 2 == 0:
-        d //= 2
-    for p in _TRIAL_PRIMES:  # 2 no longer divides d
-        if p * p > d:
-            break
-        if d % p == 0:
-            if p % modulus != 1:
-                return False
-            while d % p == 0:
-                d //= p
-    stack = [d] if d > 1 else []
-    while stack:
-        c = stack.pop()
-        if c % modulus != 1:
-            return False
-        if c <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
-            continue  # no factor below _TRIAL_LIMIT remains, so c is prime
-        f = _pollard_rho(c)
-        stack.append(f)
-        stack.append(c // f)
-    return True
+    return all(p == 2 or p % modulus == 1 for p, _ in _split(d))
 
 
 def in_S(n: int) -> bool:

@@ -183,6 +183,22 @@ def test_obstruct_log_names_never_break_a_report(log):
     assert proc.stdout.encode() == (GOLDEN_CLI / "em-2-2-0-0.out").read_bytes()
 
 
+def test_import_cli_leaves_logging_out():
+    code = "import sys, obstruct.cli; print('logging' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_obstruct_log_debug_prints_census_rows():
+    proc = run_cli("census-2odd", "--max-product", "15",
+                   env={**os.environ, "OBSTRUCT_LOG": "debug"})
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stderr.splitlines() if "census row" in line]
+    assert rows == ["DEBUG:obstruct.manifolds:census row (1,1): n=35 witness",
+                    "DEBUG:obstruct.manifolds:census row (1,2): n=59 witness"], proc.stderr
+
+
 def test_density_commands():
     rep = report_of(run_cli("density", "--set", "Sk:1", "--limit", "25", "--bound"))
     assert rep["result"]["density"] == "3/5"

@@ -30,6 +30,20 @@ def test_torus_knot_triviality():
         mf.TorusKnot(2, 4)
 
 
+def test_mirror_matches_the_constructor():
+    """TorusKnot.mirror builds (-p, q) without the constructor's checks; over
+    a grid with trivial knots it equals the checked (-p, q), and a splice's
+    mirror is an involution."""
+    knots = [mf.TorusKnot(p, q) for p in range(-9, 10) for q in range(-9, 10)
+             if gcd(p, q) == 1]
+    assert any(k.is_trivial for k in knots)
+    for k in knots:
+        assert k.mirror() == mf.TorusKnot(-k.p, k.q), k
+        assert k.mirror().mirror() == k, k
+    for y in (mf.Splice(k, h) for k in knots for h in knots[::7] if k.q > 1 < h.q):
+        assert y.mirror().mirror() == y, y
+
+
 def test_torus_knot_product_invariant():
     assert mf.TorusKnot(2, 3).product == 6
     assert mf.TorusKnot(-2, 3).product == -6

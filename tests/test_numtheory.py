@@ -129,6 +129,72 @@ def test_factorization_invariants_enforced():
 
 
 # ---------------------------------------------------------------------------
+# is_prime
+
+# psi_k: the least odd composite that is a strong probable prime to each of
+# the first k prime bases (Jaeschke 1993; Jiang and Deng 2014; OEIS A014233).
+PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747,
+       6: 3474749660383, 7: 341550071728321, 8: 341550071728321,
+       9: 3825123056546413051, 10: 3825123056546413051, 11: 3825123056546413051,
+       12: 318665857834031151167461}
+
+
+def test_is_prime_matches_sieve_below_10_6():
+    limit = 10**6
+    sieve = bytearray([1]) * limit
+    sieve[:2] = bytes(2)
+    for p in range(2, 1001):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if nt.is_prime(n) != sieve[n]] == []
+
+
+def test_is_prime_matches_oracle_near_each_psi():
+    """psi_k - 2, psi_k, psi_k + 2 and 300 seeded odd n within 2^20 of each
+    psi_k below psi_12, against the 12-base oracle, exact below psi_12."""
+    rng = random.Random(20)
+    for psi in sorted(set(PSI.values()) - {PSI[12]}):
+        sample = [psi - 2, psi, psi + 2]
+        sample += [rng.randrange(max(psi - 2**20, 0), psi + 2**20) | 1 for _ in range(300)]
+        for n in sample:
+            assert nt.is_prime(n) == oracles.is_prime(n), n
+
+
+def misreported_composites():
+    """Which of these composites is_prime calls prime: 41^2, the least with
+    no prime factor up to 37; 8321 = 53 * 157, the least such strong probable
+    prime to base 2, for psi_1 = 23 * 89 never reaches a base; psi_2 to psi_11."""
+    composites = (41**2, 8321, *set(PSI.values()) - {PSI[1], PSI[12]})
+    return [n for n in composites if nt.is_prime(n)]
+
+
+def test_is_prime_bounds_are_psi_k():
+    """Each bound of the base table is the published psi_k for its k, and
+    each psi_k is reported composite."""
+    assert all(bound == PSI[k] for bound, k in nt._MR_BOUNDS)
+    assert misreported_composites() == []
+
+
+@pytest.mark.parametrize("row", range(len(nt._MR_BOUNDS) + 1))
+def test_is_prime_table_one_base_short_fails(monkeypatch, row):
+    """A table one base short at any bound, the last being 12 bases below
+    psi_12, calls a composite prime."""
+    table = [*nt._MR_BOUNDS, (PSI[12], 12)]
+    bound, k = table[row]
+    table[row] = (bound, k - 1)
+    monkeypatch.setattr(nt, "_MR_BOUNDS", tuple(table))
+    assert misreported_composites() != []
+
+
+def test_is_prime_past_the_table():
+    """Past the last bound, n gets all 12 bases, and nothing raises; past
+    psi_12 that is only a probable-prime test."""
+    assert nt.is_prime(2**89 - 1)  # a Mersenne prime above psi_12
+    assert not nt.is_prime((2**61 - 1) * (2**31 - 1))
+    assert nt.is_prime(PSI[12])  # composite, but a strong probable prime to all 12
+
+
+# ---------------------------------------------------------------------------
 # legendre symbol
 
 
@@ -357,18 +423,48 @@ def test_in_Sprime_against_oracle():
         assert nt.in_Sprime(n) == in_Sprime_oracle(n), n
 
 
+def membership_sample(seed=11):
+    """300 seeded n in [10^6, 3 * 10^9]; then 100 where n^2 + 1 or n - 1
+    has a prime factor in [1000, 4096), the old and new trial bounds; then
+    100 where n^2 + 1 or n + 1 has a product of two primes in (4096, 2^15)
+    in its cofactor, which is then composite and at least 4096^2."""
+    rng = random.Random(seed)
+    primes = [p for p in range(1000, 2**15) if oracles.is_prime(p)]
+    mid = [p for p in primes if p < 4096]
+    big = [p for p in primes if p > 4096]
+    out = [rng.randint(10**6, 3 * 10**9) for _ in range(300)]
+    for _ in range(50):
+        p = rng.choice([p for p in mid if p % 4 == 1])
+        out.append(nt.square_root_mod(p - 1, p) + p * rng.randrange(3 * 10**9 // p))
+        p = rng.choice(mid)
+        out.append(1 + p * rng.randrange(1, 3 * 10**9 // p))
+    for _ in range(50):
+        q1, q2 = rng.sample([p for p in big if p % 4 == 1], 2)
+        r1, r2 = nt.square_root_mod(q1 - 1, q1), nt.square_root_mod(q2 - 1, q2)
+        r = (r1 * q2 * pow(q2, -1, q1) + r2 * q1 * pow(q1, -1, q2)) % (q1 * q2)
+        out.append(r + q1 * q2 * rng.randrange(3 * 10**9 // (q1 * q2)))
+        q3, q4 = rng.sample(big, 2)
+        out.append(q3 * q4 * rng.randrange(1, 3 * 10**9 // (q3 * q4)) - 1)
+    return out
+
+
 def test_membership_against_factor_large_n():
-    """n in [10^6, 3 * 10^9], where cofactors above 10^6 reach the early-exit
-    shortcuts and Pollard rho; oracle: the complete factorization."""
-    rng = random.Random(11)
-    for _ in range(300):
-        n = rng.randint(10**6, 3 * 10**9)
+    """in_S and in_Sprime against the complete factorization, the rule the
+    benchmark checks shortcut verdicts with, on n where cofactors above
+    4096^2 reach the early-exit shortcuts and Pollard rho."""
+    mid = big = 0
+    for n in membership_sample():
         in_s = all(p % 8 == 1 for p in nt.factor(n * n + 1).primes() if p != 2)
         in_sprime = any(
             all(p % 4 != 3 for p in nt.factor(x).primes()) for x in (n - 1, n + 1)
         )
         assert nt.in_S(n) == in_s, n
         assert nt.in_Sprime(n) == in_sprime, n
+        for x in (n * n + 1, n - 1, n + 1):
+            primes = nt.factor(x).primes()
+            mid += any(1000 < p < 4096 for p in primes)
+            big += sum(p > 4096 for p in primes) >= 2
+    assert mid >= 100 and big >= 100
 
 
 def test_domain_errors():
