@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, isqrt, lcm
 from operator import eq, le
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from ._record import Record
 from .numtheory import ResourceCapExceeded
@@ -423,20 +423,37 @@ def _complement_short_counts(entries: tuple[int, ...], top: int = 3) -> tuple[in
     )
 
 
-def _counts_admit(facts: _SearchFacts, sigma: Changemaker, norm4: int | None = None) -> bool:
-    """Necessary condition for L = (Z^n, -G) to embed in sigma's complement.
+def _index_fit(det: int, norm: int) -> Callable[[int, int], bool] | None:
+    """How L's vector counts must compare with those of the complement of a
+    changemaker of norm `norm`: ``eq`` at index 1 (|det G| = norm), ``le``
+    when |det G| = k^2 norm with k > 1, and None when no k exists, so that no
+    changemaker of this norm admits an embedding.
 
     An embedding preserves norms and is injective, and its image has finite
-    index k in the complement, whose determinant is |sigma|^2 (a changemaker
-    contains a 1, so it is primitive).  Hence |det G| = k^2 |sigma|^2, L has
-    at most as many vectors of each norm as the complement, and exactly as
-    many when k = 1, since then L is isometric to the complement.  Norms 1
-    to 3 are checked, then norm 4 when L's norm-4 count `norm4` is given.
+    index k in the complement, whose determinant is |sigma|^2 = norm (a
+    changemaker contains a 1, so it is primitive).  Hence |det G| = k^2 norm,
+    L has at most as many vectors of each norm as the complement, and exactly
+    as many when k = 1, since then L is isometric to the complement.  The
+    answer depends on the norm alone, so a query decides it once.
     """
-    k2, r = divmod(facts.det, sigma.norm)
+    k2, r = divmod(det, norm)
     if r or isqrt(k2) ** 2 != k2:
-        return False
-    fits = eq if k2 == 1 else le
+        return None
+    return eq if k2 == 1 else le
+
+
+def _counts_admit(
+    facts: _SearchFacts, sigma: Changemaker, fits: Callable[[int, int], bool],
+    norm4: int | None = None,
+) -> bool:
+    """Necessary condition for L = (Z^n, -G) to embed in sigma's complement,
+    given ``fits = _index_fit(facts.det, sigma.norm)``, which the caller
+    decides once per query and which is not None: L's numbers of vectors of
+    norm 1 to 3, and of norm 4 when L's norm-4 count `norm4` is given, must
+    fit those of the complement.  The norm-4 count is asked for only when
+    norms 1 to 3 fit: most sigma fail at norm 3, and their norm-4 closed
+    form would cost about as much again.
+    """
     if not all(map(fits, facts.short, _complement_short_counts(sigma.entries))):
         return False
     return norm4 is None or fits(norm4, _complement_short_counts(sigma.entries, 4)[3])
@@ -449,16 +466,17 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     Embeddings are searched up to the lattice automorphisms fixing sigma
     (coordinate permutations within blocks of equal sigma entries, and sign
     flips on coordinates where sigma is 0), by complete backtracking: None is
-    a proof that no embedding exists.  Before the search, sigma is rejected
-    when |det G| is not a square times |sigma|^2 or when the counts of vectors
-    of norm 1, 2 and 3 of the two lattices rule an embedding out (see
-    ``_counts_admit``); each such rejection is itself a proof.  At index 1
-    (|det G| = |sigma|^2) the counts must be equal.  Norm 4 is left out: for
-    one sigma, L's norm-4 count can cost more than a search (see
-    ``changemaker_obstruction``).  Vectors are filled in increasing order of
-    the Gram diagonal; coordinates are processed from the largest sigma
-    entry down; candidate values run from high to low, so the embedding
-    returned is canonical and deterministic.
+    a proof that no embedding exists.  Before the search, the index is
+    decided once per query (``_index_fit``): sigma is rejected when |det G| is not a
+    square times |sigma|^2, or when the counts of vectors of norm 1, 2 and 3
+    of the two lattices rule an embedding out (see ``_counts_admit``); each
+    such rejection is itself a proof.  At index 1 (|det G| = |sigma|^2) the
+    counts must be equal.  Norm 4 is left out: for one sigma, L's norm-4
+    count can cost more than a search (see ``changemaker_obstruction``).
+    Vectors are filled in increasing order of the Gram diagonal; coordinates
+    are processed from the largest sigma entry down; candidate values run
+    from high to low, so the embedding returned is canonical and
+    deterministic.
     """
     d = gram.rank + 1
     if len(sigma) != d:
@@ -466,7 +484,10 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     facts = _search_facts(gram)  # ValueError unless gram is negative definite
     if sigma.norm == 0:
         return None  # the zero vector spans nothing; full rank is impossible
-    return _first_embedding(gram, facts, sigma) if _counts_admit(facts, sigma) else None
+    fits = _index_fit(facts.det, sigma.norm)
+    if fits is None or not _counts_admit(facts, sigma, fits):
+        return None
+    return _first_embedding(gram, facts, sigma)
 
 
 def _first_embedding(
@@ -594,11 +615,14 @@ def changemaker_obstruction(
     order), or all of them with ``all_witnesses`` (one embedding per
     admitting changemaker; used for uniqueness checks).
 
-    When |det G| = p, an embedding would have index 1 (|det G| = k^2 p), so
-    L would be isometric to sigma's complement and have exactly its numbers
-    of norm-1 and norm-2 vectors; the enumeration then skips every sigma
-    without them (see ``_changemakers``).  Otherwise every changemaker is
-    enumerated, and each meets the count conditions of ``embed_in_complement``.
+    Every changemaker searched has norm p, so the index k of an embedding,
+    |det G| = k^2 p, is decided once per query (``_index_fit``): when no k
+    exists the result is ``obstructed`` before any changemaker is
+    enumerated.  When |det G| = p, an embedding would have index 1, so L
+    would be isometric to sigma's complement and have exactly its numbers of
+    norm-1 and norm-2 vectors; the enumeration then skips every sigma without
+    them (see ``_changemakers``).  Otherwise every changemaker is enumerated,
+    and each meets the count conditions of ``embed_in_complement``.
     Once a search has failed, L's norm-4 vectors are counted, once, and
     later sigma must pass the norm-4 counts too.  That count can take over
     ten times as long as the norm <= 3 counts (the rank-30 form -I has 438,540
@@ -610,12 +634,15 @@ def changemaker_obstruction(
     facts = _search_facts(gram)  # ValueError unless gram is negative definite
     if p < 1:
         raise ValueError(f"norm p must be positive, got {p}")
+    fits = _index_fit(facts.det, p)
+    if fits is None:
+        return ObstructionResult("obstructed", ())
     found = []
-    short = facts.short if facts.det == p else None
+    short = facts.short if fits is eq else None
     norm4 = None  # L's number of norm-4 vectors, counted once a search fails
     for entries in _changemakers(gram.rank + 1, p, short):
         sigma = Changemaker(entries)
-        if not _counts_admit(facts, sigma, norm4):
+        if not _counts_admit(facts, sigma, fits, norm4):
             continue
         emb = _first_embedding(gram, facts, sigma)
         if emb is not None:

@@ -468,10 +468,7 @@ class ResidueSet(Record):
 
     def period(self) -> int:
         """Period of the membership pattern (Sk/Tk only)."""
-        prod = 1
-        for p in self.primes():
-            prod *= p
-        return prod
+        return prod(self.primes())
 
 
 def density(rset: ResidueSet, limit: int) -> Fraction:

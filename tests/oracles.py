@@ -1,13 +1,61 @@
 """Reference implementations that several test files check the library
-against.  The library never calls them, so they skip the input checks and
-caps of a public function.  Import as ``import oracles``; pytest does not
-collect this file."""
+against, and the fixtures they share.  The library never calls them, so they
+skip the input checks and caps of a public function.  Import as
+``import oracles``; pytest does not collect this file."""
 
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple
 
+from obstruct import lattice as la
 from obstruct import manifolds as mf
 from obstruct import numtheory as nt
+
+# the Goeritz form of L35's white checkerboard graph, as in bench/data/gd.txt
+GD = la.GramMatrix.from_rows(
+    [
+        [-4, 2, 1, 0, 0, 0],
+        [2, -5, 1, 0, 1, 1],
+        [1, 1, -5, 2, 0, 1],
+        [0, 0, 2, -3, 1, 0],
+        [0, 1, 0, 1, -3, 0],
+        [0, 1, 1, 0, 0, -2],
+    ]
+)
+
+SIGMA_226 = la.Changemaker((1, 2, 2, 4, 4, 8, 11))
+
+# the printed basis of SIGMA_226's complement, an embedding of GD
+BASIS_226 = (
+    (1, 0, 0, 0, -1, -1, 1),
+    (-2, 0, 1, 0, 0, 0, 0),
+    (1, 0, 1, 1, 1, 0, -1),
+    (0, 0, 0, -1, -1, 1, 0),
+    (0, -1, -1, 1, 0, 0, 0),
+    (0, 1, -1, 0, 0, 0, 0),
+)
+
+
+def brute_force_changemakers(length, norm):
+    """All nondecreasing nonnegative tuples of the given norm that satisfy
+    the changemaker inequality, in lex order; independent of the library
+    enumeration."""
+    out = []
+    top = isqrt(norm)
+
+    def rec(prefix, rem):
+        if len(prefix) == length:
+            if rem == 0 and la.is_changemaker(prefix):
+                out.append(tuple(prefix))
+            return
+        lo = prefix[-1] if prefix else 0
+        for v in range(lo, top + 1):
+            if v * v > rem:
+                break
+            rec(prefix + [v], rem - v * v)
+
+    rec([], norm)
+    return out
 
 
 class SmallSFS(NamedTuple):

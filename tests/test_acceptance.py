@@ -6,7 +6,7 @@ PASS/FAIL line per criterion.
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import oracles
 from obstruct import goeritz as go
@@ -21,29 +21,6 @@ def report(num: int, ok: bool, desc: str) -> None:
     assert ok, f"criterion {num} failed: {desc}"
 
 
-GD = la.GramMatrix.from_rows(
-    [
-        [-4, 2, 1, 0, 0, 0],
-        [2, -5, 1, 0, 1, 1],
-        [1, 1, -5, 2, 0, 1],
-        [0, 0, 2, -3, 1, 0],
-        [0, 1, 0, 1, -3, 0],
-        [0, 1, 1, 0, 0, -2],
-    ]
-)
-
-SIGMA = la.Changemaker((1, 2, 2, 4, 4, 8, 11))
-
-BASIS = (
-    (1, 0, 0, 0, -1, -1, 1),
-    (-2, 0, 1, 0, 0, 0, 0),
-    (1, 0, 1, 1, 1, 0, -1),
-    (0, 0, 0, -1, -1, 1, 0),
-    (0, -1, -1, 1, 0, 0, 0),
-    (0, 1, -1, 0, 0, 0, 0),
-)
-
-
 def test_acceptance_01_census_reproduction():
     rows = mf.census_2odd(341)
     witnesses = [(r.a, r.b) for r in rows if r.status == "witness"]
@@ -56,15 +33,15 @@ def test_acceptance_01_census_reproduction():
 
 
 def test_acceptance_02_embedding_and_uniqueness():
-    emb = la.embed_in_complement(GD, SIGMA)
-    printed = la.Embedding(SIGMA, BASIS)
-    res = la.changemaker_obstruction(GD, 226, all_witnesses=True)
+    emb = la.embed_in_complement(oracles.GD, oracles.SIGMA_226)
+    printed = la.Embedding(oracles.SIGMA_226, oracles.BASIS_226)
+    res = la.changemaker_obstruction(oracles.GD, 226, all_witnesses=True)
     unique = [e.sigma.entries for e in res.witnesses]
     ok = (
         emb is not None
-        and emb.verifies(GD)
-        and printed.verifies(GD)
-        and printed.gram() == GD
+        and emb.verifies(oracles.GD)
+        and printed.verifies(oracles.GD)
+        and printed.gram() == oracles.GD
         and unique == [(1, 2, 2, 4, 4, 8, 11)]
     )
     report(2, ok, "rank-6 form embeds for sigma=(1,2,2,4,4,8,11), uniquely")
@@ -96,25 +73,6 @@ def test_acceptance_04_character_values():
     report(4, ok, "chi_8m(4m-1) = -1 for odd m <= 199; multiplicative on 25000 random triples")
 
 
-def brute_changemakers(length, norm):
-    out = []
-    top = isqrt(norm)
-
-    def rec(prefix, rem):
-        if len(prefix) == length:
-            if rem == 0 and la.is_changemaker(prefix):
-                out.append(tuple(prefix))
-            return
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, top + 1):
-            if v * v > rem:
-                break
-            rec(prefix + [v], rem - v * v)
-
-    rec([], norm)
-    return out
-
-
 def test_acceptance_05_enumeration_bounds_and_counts():
     bounds_ok = True
     for length in range(1, 6):
@@ -127,7 +85,7 @@ def test_acceptance_05_enumeration_bounds_and_counts():
         bounds_ok &= attained == [bound]
     counts_ok = all(
         [c.entries for c in la.enumerate_changemakers(length, norm)]
-        == brute_changemakers(length, norm)
+        == oracles.brute_force_changemakers(length, norm)
         for length in range(1, 5)
         for norm in range(1, 51)
     )
@@ -145,7 +103,7 @@ def test_acceptance_06_em_slope_identities():
 
 
 def test_acceptance_07_goeritz_determinants():
-    gd_ok = go.det_h1_order(GD) == 226
+    gd_ok = go.det_h1_order(oracles.GD) == 226
     fam_ok = all(
         go.det_h1_order(go.family_2odd_2odd(a, b)) == 4 * (2 * a + 1) * (2 * b + 1) - 1
         for a in range(1, 21)

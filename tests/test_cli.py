@@ -1,13 +1,18 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
-from pathlib import Path
+import tracemalloc
+from fractions import Fraction
 
 import pytest
+from golden_cli import GOLDEN_CLI, REPO, cli_commands
 
-from obstruct import __version__
+from obstruct import ResidueSet, __version__, cli, density, numtheory
+
+CLI_COMMANDS = cli_commands()  # the benchmark's table of README commands
 
 
 def run_cli(*args, env=None):
@@ -79,15 +84,11 @@ def test_census_jobs_deterministic():
 
 
 def test_census_bad_jobs_exit_2(capsys):
-    from obstruct import cli
-
     assert cli.main(["census-2odd", "--max-product", "45", "--jobs", "0"]) == 2
     assert "jobs" in capsys.readouterr().err
 
 
 def test_census_bad_max_product_exit_2(capsys):
-    from obstruct import cli
-
     for bound in ("0", "-5"):
         assert cli.main(["census-2odd", "--max-product", bound]) == 2
         assert "max_product" in capsys.readouterr().err
@@ -99,12 +100,8 @@ def test_changemaker_enum():
     assert rep["command"] == "changemaker enum"
 
 
-def test_changemaker_embed(tmp_path):
-    gram = tmp_path / "gd.txt"
-    gram.write_text(
-        "6\n-4 2 1 0 0 0\n2 -5 1 0 1 1\n1 1 -5 2 0 1\n"
-        "0 0 2 -3 1 0\n0 1 0 1 -3 0\n0 1 1 0 0 -2\n"
-    )
+def test_changemaker_embed():
+    gram = REPO / "bench" / "data" / "gd.txt"
     rep = report_of(run_cli("changemaker", "embed", "--gram", str(gram), "--p", "226"))
     assert rep["result"]["status"] == "witness"
     assert rep["result"]["witnesses"][0]["sigma"] == [1, 2, 2, 4, 4, 8, 11]
@@ -128,8 +125,6 @@ def test_changemaker_embed_bad_matrix(tmp_path):
 
 
 def test_changemaker_embed_bad_p_exit_2(tmp_path, capsys):
-    from obstruct import cli
-
     gram = tmp_path / "fam22.txt"
     gram.write_text("5\n-3 1 0 1 0\n1 -3 1 0 0\n0 1 -3 2 0\n1 0 2 -4 1\n0 0 0 1 -3\n")
     for p in ("0", "-99"):
@@ -209,10 +204,6 @@ def test_density_commands():
     assert rep["result"]["density"] == "1"
 
     rep = report_of(run_cli("density", "--set", "S", "--limit", "100"))
-    from fractions import Fraction
-
-    from obstruct import ResidueSet, density
-
     assert Fraction(rep["result"]["density"]) == density(ResidueSet("S"), 100)
 
     proc = run_cli("density", "--set", "S", "--limit", "10", "--bound")
@@ -267,8 +258,6 @@ def test_changemaker_group_rejects_report_flags():
 
 
 def test_resource_cap_exit_3(monkeypatch, capsys):
-    from obstruct import cli, numtheory
-
     def blow_up(rset, limit):
         raise numtheory.ResourceCapExceeded("search cap reached")
 
@@ -279,8 +268,6 @@ def test_resource_cap_exit_3(monkeypatch, capsys):
 
 
 def test_handler_key_error_propagates(monkeypatch):
-    from obstruct import cli, numtheory
-
     def buggy(rset, limit):
         raise KeyError("a bug, not invalid input")
 
@@ -290,10 +277,6 @@ def test_handler_key_error_propagates(monkeypatch):
 
 
 def test_density_limit_cap_exit_3(capsys):
-    import tracemalloc
-
-    from obstruct import cli
-
     tracemalloc.start()
     try:
         rc = cli.main(["density", "--set", "S", "--limit", "100000001"])
@@ -308,8 +291,6 @@ def test_density_limit_cap_exit_3(capsys):
 
 
 def test_density_k_cap_exit_3(capsys):
-    from obstruct import cli
-
     for token in ("Sk:10001", "Tk:100000"):
         assert cli.main(["density", "--set", token, "--limit", "10"]) == 3
         out, err = capsys.readouterr()
@@ -318,8 +299,6 @@ def test_density_k_cap_exit_3(capsys):
 
 
 def test_density_bound_too_long_exit_3(capsys):
-    from obstruct import cli
-
     assert cli.main(["density", "--set", "Sk:1000", "--limit", "10", "--bound"]) == 0
     assert '"product_bound": "' in capsys.readouterr().out
     if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
@@ -332,8 +311,6 @@ def test_density_bound_too_long_exit_3(capsys):
 
 
 def test_changemaker_length_cap_exit_3(capsys):
-    from obstruct import cli
-
     assert cli.main(["changemaker", "enum", "--len", "512", "--norm", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["count"] == 1
     assert cli.main(["changemaker", "enum", "--len", "513", "--norm", "1"]) == 3
@@ -343,8 +320,6 @@ def test_changemaker_length_cap_exit_3(capsys):
 
 
 def test_census_product_cap_exit_3(capsys):
-    from obstruct import cli
-
     assert cli.main(["census-2odd", "--max-product", "10001"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -354,33 +329,8 @@ def test_census_product_cap_exit_3(capsys):
 # ---------------------------------------------------------------------------
 # golden reports: the README examples, byte for byte
 
-REPO = Path(__file__).resolve().parent.parent
-GOLDEN_CLI = REPO / "bench" / "golden" / "cli"
-
-# the same argv as the benchmark's cli-oneshot workload
-GOLDEN_COMMANDS = (
-    ("splice-3-4", ("splice", "--a", "3", "--b", "4", "--c", "-3", "--d", "4", "--pretty")),
-    ("splice-2-3", ("splice", "--a", "2", "--b", "3", "--c", "2", "--d", "-3")),
-    ("splice-3-5-changemaker",
-     ("splice", "--a", "3", "--b", "5", "--c", "-3", "--d", "5", "--changemaker")),
-    ("census-jobs1", ("census-2odd", "--jobs", "1", "--pretty")),
-    ("census-jobs2", ("census-2odd", "--jobs", "2", "--pretty")),
-    ("changemaker-enum", ("changemaker", "enum", "--len", "7", "--norm", "226")),
-    ("changemaker-embed",
-     ("changemaker", "embed", "--gram", "bench/data/gd.txt", "--p", "226", "--all")),
-    ("em-2-2-0-0", ("em", "--l", "2", "--m", "2", "--n", "0", "--p", "0")),
-    ("em-5-2-0-2", ("em", "--l", "5", "--m", "2", "--n", "0", "--p", "2")),
-    ("density-sk2", ("density", "--set", "Sk:2", "--limit", "845", "--bound")),
-    ("cable-t23", ("cable", "--knot", "T(2,3)")),
-    ("cable-c13", ("cable", "--knot", "C(13,2);T(2,3)")),
-    ("cable-c5-c13", ("cable", "--knot", "C(5,2);C(13,2);T(2,3)")),
-)
-
-
-@pytest.mark.parametrize("name,argv", GOLDEN_COMMANDS, ids=[n for n, _ in GOLDEN_COMMANDS])
+@pytest.mark.parametrize("name,argv", CLI_COMMANDS, ids=[n for n, _ in CLI_COMMANDS])
 def test_golden_report_bytes(name, argv, monkeypatch, capsys):
-    from obstruct import cli
-
     monkeypatch.chdir(REPO)  # the embed example names its Gram file relative to the root
     assert cli.main(list(argv)) == 0
     out = capsys.readouterr().out
@@ -389,7 +339,7 @@ def test_golden_report_bytes(name, argv, monkeypatch, capsys):
 
 # paths the README examples do not reach: expected stdout and --pretty stderr
 # are kept next to these tests, in tests/golden/cli
-LOCKED = Path(__file__).resolve().parent / "golden" / "cli"
+LOCKED = REPO / "tests" / "golden" / "cli"
 
 LOCKED_COMMANDS = (
     ("em-1-2-0-0", ("em", "--l", "1", "--m", "2", "--n", "0", "--p", "0")),
@@ -398,13 +348,12 @@ LOCKED_COMMANDS = (
      ("splice", "--a", "2", "--b", "3", "--c", "5", "--d", "7", "--changemaker")),
     ("density-s-50", ("density", "--set", "S", "--limit", "50")),
     ("census-45", ("census-2odd", "--max-product", "45")),
+    ("density-s-100000", ("density", "--set", "S", "--limit", "100000")),
 )
 
 
 @pytest.mark.parametrize("name,argv", LOCKED_COMMANDS, ids=[n for n, _ in LOCKED_COMMANDS])
 def test_locked_report_bytes(name, argv, capsys):
-    from obstruct import cli
-
     assert cli.main([*argv, "--pretty"]) == 0
     captured = capsys.readouterr()
     assert captured.out.encode() == (LOCKED / f"{name}.out").read_bytes()
@@ -412,11 +361,28 @@ def test_locked_report_bytes(name, argv, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the README's Library block, run as written
+# the README's Library block and command lines, run as written
+
+
+def readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```$", (REPO / "README.md").read_text(),
+                      re.DOTALL | re.MULTILINE)
 
 
 def test_readme_library_block():
-    blocks = re.findall(r"^```python\n(.*?)^```$", (REPO / "README.md").read_text(),
-                        re.DOTALL | re.MULTILINE)
+    blocks = readme_blocks("python")
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_commands_print_locked_reports(monkeypatch, capsys):
+    """Every `obstruct` line of the README, run from the checkout root, exits
+    0 and prints one of the locked reports."""
+    lines = [line for block in readme_blocks("sh") for line in block.splitlines()
+             if line.startswith("obstruct ")]
+    locked = {path.read_bytes() for path in [*GOLDEN_CLI.glob("*.out"), *LOCKED.glob("*.out")]}
+    monkeypatch.chdir(REPO)
+    assert len(lines) == 13
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+        assert capsys.readouterr().out.encode() in locked, line

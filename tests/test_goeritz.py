@@ -3,18 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import GD
 
 from obstruct import goeritz as go
 from obstruct import lattice as la
-
-GD_ROWS = [
-    [-4, 2, 1, 0, 0, 0],
-    [2, -5, 1, 0, 1, 1],
-    [1, 1, -5, 2, 0, 1],
-    [0, 0, 2, -3, 1, 0],
-    [0, 1, 0, 1, -3, 0],
-    [0, 1, 1, 0, 0, -2],
-]
 
 
 def test_single_and_double_edge():
@@ -36,12 +28,12 @@ def test_graph_validation():
 def test_l35_white_graph_matrix():
     g = go.l35_white_graph()
     assert g.vertex_count == 7
-    assert go.goeritz_matrix(g) == la.GramMatrix.from_rows(GD_ROWS)
+    assert go.goeritz_matrix(g) == GD
 
 
 def test_det_h1_order():
     assert go.det_h1_order(la.GramMatrix.from_rows([[-1]])) == 1
-    assert go.det_h1_order(la.GramMatrix.from_rows(GD_ROWS)) == 226
+    assert go.det_h1_order(GD) == 226
     assert go.det_h1_order(go.family_2odd_2odd(1, 1)) == 35
     with pytest.raises(ValueError, match="negative definite"):
         go.det_h1_order(la.GramMatrix.from_rows([[0]]))

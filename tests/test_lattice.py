@@ -5,44 +5,12 @@ import random
 from math import comb, isqrt
 
 import pytest
+from oracles import BASIS_226, GD, SIGMA_226, brute_force_changemakers
 
+from obstruct import goeritz as go
 from obstruct import lattice as la
+from obstruct import manifolds as mf
 from obstruct.numtheory import ResourceCapExceeded
-
-GD = la.GramMatrix.from_rows(
-    [
-        [-4, 2, 1, 0, 0, 0],
-        [2, -5, 1, 0, 1, 1],
-        [1, 1, -5, 2, 0, 1],
-        [0, 0, 2, -3, 1, 0],
-        [0, 1, 0, 1, -3, 0],
-        [0, 1, 1, 0, 0, -2],
-    ]
-)
-
-SIGMA_226 = la.Changemaker((1, 2, 2, 4, 4, 8, 11))
-
-# the six basis columns of the rank-6 sublattice orthogonal to SIGMA_226
-BASIS_226 = (
-    (1, 0, 0, 0, -1, -1, 1),
-    (-2, 0, 1, 0, 0, 0, 0),
-    (1, 0, 1, 1, 1, 0, -1),
-    (0, 0, 0, -1, -1, 1, 0),
-    (0, -1, -1, 1, 0, 0, 0),
-    (0, 1, -1, 0, 0, 0, 0),
-)
-
-
-def family_2odd(a, b):
-    return la.GramMatrix.from_rows(
-        [
-            [-3, 1, 0, 1, 0],
-            [1, -3, 1, 0, 0],
-            [0, 1, -b - 1, b, 0],
-            [1, 0, b, -b - 2, 1],
-            [0, 0, 0, 1, -a - 1],
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +53,7 @@ def test_gram_matrix_validation():
 
 def test_negative_definite():
     assert GD.is_negative_definite()
-    assert family_2odd(1, 1).is_negative_definite()
+    assert go.family_2odd_2odd(1, 1).is_negative_definite()
     assert not la.GramMatrix.from_rows([[1]]).is_negative_definite()
     assert not la.GramMatrix.from_rows([[-1, 2], [2, -1]]).is_negative_definite()
     assert not la.GramMatrix.from_rows([[-1, 1], [1, -1]]).is_negative_definite()
@@ -102,27 +70,6 @@ def test_is_changemaker_examples():
     assert not la.is_changemaker((1, 0))  # decreasing
     assert not la.is_changemaker((2,))  # first entry exceeds 1
     assert la.is_changemaker(())
-
-
-def brute_force_changemakers(length, norm):
-    """All nondecreasing nonnegative tuples of the given norm that satisfy
-    the changemaker inequality; independent of the library enumeration."""
-    out = []
-    top = isqrt(norm)
-
-    def rec(prefix, rem):
-        if len(prefix) == length:
-            if rem == 0 and la.is_changemaker(prefix):
-                out.append(tuple(prefix))
-            return
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, top + 1):
-            if v * v > rem:
-                break
-            rec(prefix + [v], rem - v * v)
-
-    rec([], norm)
-    return out
 
 
 def test_enumeration_matches_brute_force():
@@ -254,8 +201,8 @@ def test_obstruction_results():
     res = la.changemaker_obstruction(GD, 226)
     assert res.status == "witness"
     assert res.first().sigma == SIGMA_226
-    assert la.changemaker_obstruction(family_2odd(2, 2), 99).obstructed
-    assert la.changemaker_obstruction(family_2odd(1, 1), 35).status == "witness"
+    assert la.changemaker_obstruction(go.family_2odd_2odd(2, 2), 99).obstructed
+    assert la.changemaker_obstruction(go.family_2odd_2odd(1, 1), 35).status == "witness"
 
 
 def test_obstruction_rejects_indefinite():
@@ -275,8 +222,8 @@ def test_embed_length_mismatch():
 
 
 def test_embeddings_deterministic():
-    a = la.changemaker_obstruction(family_2odd(1, 1), 35, all_witnesses=True)
-    b = la.changemaker_obstruction(family_2odd(1, 1), 35, all_witnesses=True)
+    a = la.changemaker_obstruction(go.family_2odd_2odd(1, 1), 35, all_witnesses=True)
+    b = la.changemaker_obstruction(go.family_2odd_2odd(1, 1), 35, all_witnesses=True)
     assert a == b
 
 
@@ -345,7 +292,7 @@ def test_pruned_search_equals_naive_search():
 
 
 def test_all_yielded_embeddings_verify():
-    gram = family_2odd(1, 1)
+    gram = go.family_2odd_2odd(1, 1)
     found = [la.embed_in_complement(gram, s) for s in la.enumerate_changemakers(6, 35)]
     assert any(found) and all(emb.verifies(gram) for emb in found if emb)
 
@@ -356,6 +303,15 @@ def test_search_facts_computed_once_per_query(monkeypatch):
     monkeypatch.setattr(la, "_search_facts", lambda g: calls.append(g) or search_facts(g))
     assert len(la.changemaker_obstruction(GD, 226, all_witnesses=True).witnesses) >= 1
     assert calls == [GD]
+
+
+def test_no_index_obstructs_without_enumerating(monkeypatch):
+    """No k has |det G| = k^2 p: GD at 225, fig3-black(3,5,3,5) at |det| + 1
+    = 6400, where 6,954,382 changemakers would be walked."""
+    monkeypatch.setattr(la, "_changemakers", None)  # calling it raises TypeError
+    assert la.changemaker_obstruction(GD, 225).obstructed
+    fig3 = go.goeritz_matrix(go.fig3_black_graph(3, 5, 3, 5))
+    assert la.changemaker_obstruction(fig3, 6400).obstructed
 
 
 def complement_gram(rng, sigma):
@@ -381,9 +337,9 @@ def complement_gram(rng, sigma):
     )
 
 
-def doubled(gram, i):
-    """The Gram matrix of the index-2 sublattice with basis vector i doubled."""
-    c = [2 if k == i else 1 for k in range(gram.rank)]
+def sublattice(gram, i, index=2):
+    """The Gram matrix of the sublattice with basis vector i times `index`."""
+    c = [index if k == i else 1 for k in range(gram.rank)]
     return la.GramMatrix.from_rows(
         [[c[r] * c[k] * x for k, x in enumerate(row)] for r, row in enumerate(gram.entries)]
     )
@@ -405,7 +361,7 @@ def test_complement_forms_always_embed():
         sigma = rng.choice(sigmas)
         gram = complement_gram(rng, sigma)
         if checked >= 200:
-            gram = doubled(gram, rng.randrange(gram.rank))
+            gram = sublattice(gram, rng.randrange(gram.rank))
             assert abs(gram.determinant()) == 4 * norm
         res = la.changemaker_obstruction(gram, norm, all_witnesses=True)
         assert res.status == "witness", (sigma, gram)
@@ -418,6 +374,26 @@ def test_complement_forms_always_embed():
         273,
         "91a122d3c893de91c35d86f0e1d130279f2ef3a81caed68a1539f04a65910085",
     )
+
+
+def test_obstruction_equals_embedding_of_each_sigma(monkeypatch):
+    """Each builtin form, d = |det|, at p = d, d +- 1, 4 d and 9 d, and its
+    sublattices of index 2 and 3 at p = d: the witnesses are those found per
+    enumerated sigma, and a query enumerates exactly when an index exists."""
+    calls = []
+    changemakers = la._changemakers
+    monkeypatch.setattr(la, "_changemakers", lambda *a: calls.append(a) or changemakers(*a))
+    for gram in (GD, *(go.family_2odd_2odd(a, b) for a, b in ((1, 1), (1, 2), (2, 2)))):
+        d = abs(gram.determinant())
+        cases = [(gram, p) for p in (d, d - 1, d + 1, 4 * d, 9 * d)]
+        cases += [(sublattice(gram, 0, index), d) for index in (2, 3)]
+        for form, p in cases:
+            found = tuple(e for s in la.enumerate_changemakers(form.rank + 1, p)
+                          if (e := la.embed_in_complement(form, s)) is not None)
+            calls.clear()
+            res = la.changemaker_obstruction(form, p, all_witnesses=True)
+            assert res == la.ObstructionResult("witness" if found else "obstructed", found)
+            assert bool(calls) == (p == d), (form, p)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +520,6 @@ def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
     neither the norm <= 3 nor the norm-4 counts, on the 148 census forms, GD
     at 226, two early-witness Goeritz forms and the four obstructed forms of
     the lattice-search benchmark."""
-    from obstruct import goeritz as go
-    from obstruct import manifolds as mf
-
     cases = [
         (go.family_2odd_2odd(r.a, r.b), r.n) for r in mf.census_2odd(341)
     ]
@@ -561,7 +534,7 @@ def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
 
     filtered = search()
     every_sigma = la._changemakers
-    monkeypatch.setattr(la, "_counts_admit", lambda facts, sigma, norm4=None: True)
+    monkeypatch.setattr(la, "_counts_admit", lambda facts, sigma, fits, norm4=None: True)
     monkeypatch.setattr(
         la, "_changemakers", lambda length, norm, short=None: every_sigma(length, norm)
     )
@@ -574,8 +547,6 @@ def test_norm4_count_after_first_failed_search(monkeypatch):
     at 226 with all witnesses) runs 12 embedding searches and counts L's
     norm-4 vectors 5 times: once per query in which a search failed.  Before
     the norm-4 rule it ran 37 searches."""
-    from obstruct import goeritz as go
-
     searches, tops = [], []
     first_embedding, vector_counts = la._first_embedding, la._vector_counts
     monkeypatch.setattr(
@@ -599,8 +570,6 @@ def test_enumeration_digest():
     nonzero entry before position z, or a zero at it); then the numbers
     yielded at p = |det| with the form's own counts as target, for the six
     lattice-search forms, GD (p = 226) and fig3-black(3,4,3,4) (p = 2703)."""
-    from obstruct import goeritz as go
-
     every, targeted = hashlib.sha256(), hashlib.sha256()
     sizes = [0, 0]
     for length in range(1, 11):
@@ -634,8 +603,6 @@ def test_enumeration_digest():
 def test_fig3_black_grid_verdicts():
     """The changemaker verdicts of 45 fig3-black forms at p = |det|: every
     (a0, b0) in 1..3 with 2 <= a1 <= b1 <= 4, a1 = b1 = 2 excluded."""
-    from obstruct import goeritz as go
-
     verdicts = {}
     for a0, b0 in itertools.product(range(1, 4), repeat=2):
         for a1, b1 in itertools.combinations_with_replacement(range(2, 5), 2):
