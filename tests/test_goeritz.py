@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -102,6 +105,20 @@ def test_fig3_black_determinant_identity():
                     assert go.det_h1_order(go.goeritz_matrix(g)) == abs(
                         p * q * r * s - 1
                     ), (a0, a1, b0, b1)
+
+
+def test_goeritz_forms_digest():
+    """Locks every entry of 1,817 forms, in order: the fig3-black grid
+    1 <= a0, b0 <= 4 and 2 <= a1, b1 <= 5 (256 forms), L35-white, and
+    family_2odd_2odd(a, b) for 1 <= a < 40, a <= b < 60 (1,560 forms)."""
+    grid = itertools.product(range(1, 5), range(2, 6), range(1, 5), range(2, 6))
+    forms = [go.goeritz_matrix(go.fig3_black_graph(*params)) for params in grid]
+    forms.append(go.goeritz_matrix(go.l35_white_graph()))
+    forms += [go.family_2odd_2odd(a, b) for a in range(1, 40) for b in range(a, 60)]
+    digest = hashlib.sha256(json.dumps([f.entries for f in forms]).encode()).hexdigest()
+    assert (len(forms), digest) == (
+        1817, "ae444617642b472d6375a5c549ef29698daa4925334e1f4c5c68ba5afc20de17"
+    )
 
 
 def test_fig3_black_parameter_validation():

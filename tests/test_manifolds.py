@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -512,6 +514,15 @@ def test_census_rows_sorted_and_jobs_agree():
     pairs = {(a, b) for a in range(1, 4) for b in range(a, 30) if (2 * a + 1) * (2 * b + 1) <= 60}
     assert {(r.a, r.b) for r in rows} == pairs
     assert rows == mf.census_2odd(60)
+
+
+def test_census_digest_at_cap():
+    """Locks every row of the largest census, MAX_CENSUS_PRODUCT = 10^4."""
+    rows = mf.census_2odd(mf.MAX_CENSUS_PRODUCT)
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert (len(rows), digest) == (
+        8463, "158cd74756d5ed771bde379d6b6bf802caec62f391c80217dc30d51718e22b9f"
+    )
 
 
 def test_census_rejects_nonpositive_max_product():
