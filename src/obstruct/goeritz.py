@@ -1,10 +1,11 @@
 """Goeritz matrices of reduced alternating diagrams, via checkerboard graphs.
 
 A diagram is ingested as its checkerboard (white or black) graph: one vertex
-per region, one edge per crossing between the adjacent regions.  For a
-reduced alternating diagram the graph is connected and loop-free, and the
-Goeritz matrix obtained by deleting a basepoint vertex is negative definite;
-its determinant presents the first homology of the branched double cover.
+per region, one edge per twist region, weighted by its number of crossings,
+between the two regions its crossings join.  For a reduced alternating
+diagram the graph is connected and loop-free, and the Goeritz matrix
+obtained by deleting a basepoint vertex is negative definite; its
+determinant presents the first homology of the branched double cover.
 
 Two builtin diagram families are provided:
 
@@ -24,57 +25,53 @@ from .lattice import GramMatrix
 
 
 class CheckerboardGraph(Record):
-    """A connected loop-free multigraph on vertices 0..vertex_count-1.
+    """A loop-free weighted graph on vertices 0..vertex_count-1, one edge
+    per twist region.
 
-    Edges are stored as a sorted tuple of ordered pairs; multiplicity is
-    given by repetition.
+    Edges are stored as a sorted tuple of ``(u, v, crossings)`` with
+    u < v: the twist region's ``crossings`` crossings all join regions u
+    and v.  Connectivity is checked where the form is built, by
+    ``goeritz_matrix``.
     """
 
     __slots__ = ("vertex_count", "edges")
 
-    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> None:
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int, int], ...]) -> None:
         if vertex_count < 1:
             raise ValueError("need at least one vertex")
-        edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-        for u, v in edges:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}: diagram is not reduced")
+        edges = tuple(sorted(map(tuple, edges)))
+        for u, v, crossings in edges:
+            if not (0 <= u < v < vertex_count and crossings >= 1):
+                raise ValueError(f"edge ({u},{v},{crossings}): need 0 <= u < v < "
+                                 f"{vertex_count} and crossings >= 1")
         self._set(vertex_count, edges)
-        if not self._connected():
-            raise ValueError("checkerboard graph must be connected")
-
-    def _connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
 
 
 def goeritz_matrix(graph: CheckerboardGraph) -> GramMatrix:
     """Goeritz matrix with basepoint vertex 0 deleted: row i - 1 belongs to
-    vertex i, with diagonal -deg(v_i) and off-diagonal the number of edges
-    between v_i and v_j."""
+    vertex i, with diagonal minus the crossings at v_i and off-diagonal the
+    crossings between v_i and v_j.
+
+    Raises ValueError unless the graph is connected, decided by whether G is
+    negative definite: -G is the weighted Laplacian with the basepoint's row
+    and column deleted.  The Laplacian's form is the sum over edges of
+    crossings * (x_u - x_v)^2 >= 0, so -G is positive semidefinite, and by
+    Kirchhoff's matrix-tree theorem det(-G) is the number of spanning trees
+    weighted by the product of their crossings, which is positive exactly
+    when the graph is connected.
+    """
     n = graph.vertex_count - 1
     rows = [[0] * n for _ in range(n)]
-    for u, v in graph.edges:  # sorted pairs without loops, so u < v
-        rows[v - 1][v - 1] -= 1
+    for u, v, crossings in graph.edges:  # u < v, so v is not the basepoint
+        rows[v - 1][v - 1] -= crossings
         if u:
-            rows[u - 1][u - 1] -= 1
-            rows[u - 1][v - 1] += 1
-            rows[v - 1][u - 1] += 1
-    return GramMatrix.from_rows(rows)
+            rows[u - 1][u - 1] -= crossings
+            rows[u - 1][v - 1] += crossings
+            rows[v - 1][u - 1] += crossings
+    gram = GramMatrix.from_rows(rows)
+    if not gram.is_negative_definite():
+        raise ValueError("checkerboard graph must be connected")
+    return gram
 
 
 def det_h1_order(gram: GramMatrix) -> int:
@@ -91,18 +88,16 @@ def l35_white_graph() -> CheckerboardGraph:
     this graph is the 6x6 matrix with determinant 226.
     """
     edges = (
-        (0, 1),
-        (0, 5),
-        (1, 2),
-        (1, 2),
-        (1, 3),
-        (2, 3),
-        (2, 5),
-        (2, 6),
-        (3, 4),
-        (3, 4),
-        (3, 6),
-        (4, 5),
+        (0, 1, 1),
+        (0, 5, 1),
+        (1, 2, 2),
+        (1, 3, 1),
+        (2, 3, 1),
+        (2, 5, 1),
+        (2, 6, 1),
+        (3, 4, 2),
+        (3, 6, 1),
+        (4, 5, 1),
     )
     return CheckerboardGraph(7, edges)
 
@@ -121,25 +116,19 @@ def fig3_black_graph(a0: int, a1: int, b0: int, b1: int) -> CheckerboardGraph:
         raise ValueError("need a0, b0 >= 1")
     if a1 < 2 or b1 < 2:
         raise ValueError("need a1, b1 >= 2")
-    edges: list[tuple[int, int]] = []
-    edges += [(0, 1)] * (b1 - 1)  # b1-1 half-twists
-    edges += [(1, 2)] * (a1 - 1)  # a1-1 half-twists
-    edges += [(3, 4)] * b0
-    edges += [(0, 5)] * a0
-    edges += [(0, 2), (1, 4)]  # the two crossings joining the tangles
+    edges = [
+        (0, 1, b1 - 1),
+        (1, 2, a1 - 1),
+        (3, 4, b0),
+        (0, 5, a0),
+        (0, 2, 1),  # the two crossings joining the tangles
+        (1, 4, 1),
+    ]
     nv = 6
-
-    def chain(u: int, v: int, crossings: int) -> None:
-        nonlocal nv
-        prev = u
-        for _ in range(crossings - 1):
-            edges.append((prev, nv))
-            prev = nv
-            nv += 1
-        edges.append((prev, v))
-
-    chain(2, 3, b1 - 1)  # 1-b1 twist region
-    chain(4, 5, a1 - 1)  # 1-a1 twist region
+    for u, v, crossings in ((2, 3, b1 - 1), (4, 5, a1 - 1)):  # the 1-b1 and 1-a1 regions
+        chain = (u, *range(nv, nv + crossings - 1), v)
+        edges += [(min(x, y), max(x, y), 1) for x, y in zip(chain, chain[1:])]
+        nv += crossings - 1
     return CheckerboardGraph(nv, tuple(edges))
 
 

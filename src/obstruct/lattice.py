@@ -615,6 +615,9 @@ def changemaker_obstruction(
     order), or all of them with ``all_witnesses`` (one embedding per
     admitting changemaker; used for uniqueness checks).
 
+    No changemaker of length rank+1 has a norm p above
+    ``changemaker_max_norm(rank + 1)``, so a negative definite G is then
+    ``obstructed`` before its Gram facts are computed.
     Every changemaker searched has norm p, so the index k of an embedding,
     |det G| = k^2 p, is decided once per query (``_index_fit``): when no k
     exists the result is ``obstructed`` before any changemaker is
@@ -631,6 +634,8 @@ def changemaker_obstruction(
     above ``MAX_CHANGEMAKER_LENGTH`` raises ResourceCapExceeded.
     """
     _check_length(gram.rank + 1)
+    if p > changemaker_max_norm(gram.rank + 1) and gram.is_negative_definite():
+        return ObstructionResult("obstructed", ())
     facts = _search_facts(gram)  # ValueError unless gram is negative definite
     if p < 1:
         raise ValueError(f"norm p must be positive, got {p}")

@@ -35,7 +35,7 @@ from . import lattice as _lattice
 from ._record import Record
 from .numtheory import ResourceCapExceeded, in_S, in_Sprime, square_root_mod
 
-MAX_CENSUS_PRODUCT = 10**4  # largest census bound: 8,463 rows
+MAX_CENSUS_PRODUCT = 10**4  # bounds the report's size (8,463 rows), not search time
 
 
 # ---------------------------------------------------------------------------

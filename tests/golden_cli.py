@@ -1,6 +1,7 @@
 """The locked CLI commands, from one table: ``CLI_COMMANDS`` in
 ``bench/workloads.py``, whose rows ``bench/record_golden.py`` recorded as
-``bench/golden/cli/<name>.out``.  It is read with ``ast.literal_eval``, so no
+``bench/golden/cli/<name>.out``; also the lattice-search forms of
+``LatticeSearch.JOBS`` there.  Both are read with ``ast.literal_eval``, so no
 bench module is imported; pytest does not collect this file.  Run as
 ``python3 tests/golden_cli.py``, it runs the installed ``obstruct`` console
 script on every row from the checkout root, names each row whose stdout
@@ -16,16 +17,33 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN_CLI = REPO / "bench" / "golden" / "cli"
 
 
-def cli_commands():
-    """The (name, argv) rows of ``CLI_COMMANDS``; ValueError unless the
-    benchmark assigns it once, to a literal."""
-    tree = ast.parse((REPO / "bench" / "workloads.py").read_text())
-    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
-               and [getattr(t, "id", None) for t in node.targets] == ["CLI_COMMANDS"]]
+def _literal(body, name):
+    """The value of the one assignment to `name` among the statements `body`;
+    ValueError unless there is exactly one, to a literal."""
+    [value] = [node.value for node in body if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == [name]]
     try:
         return ast.literal_eval(value)
     except ValueError as exc:
-        raise ValueError(f"bench/workloads.py: CLI_COMMANDS is no longer a literal: {exc}") from None
+        raise ValueError(f"bench/workloads.py: {name} is no longer a literal: {exc}") from None
+
+
+def _workloads():
+    return ast.parse((REPO / "bench" / "workloads.py").read_text()).body
+
+
+def cli_commands():
+    """The (name, argv) rows of ``CLI_COMMANDS``; ValueError unless the
+    benchmark assigns it once, to a literal."""
+    return _literal(_workloads(), "CLI_COMMANDS")
+
+
+def lattice_search_jobs():
+    """The (params, all_witnesses) rows of ``LatticeSearch.JOBS``: params are
+    fig3-black's (a0, a1, b0, b1), or None for L35-white."""
+    [cls] = [node for node in _workloads()
+             if isinstance(node, ast.ClassDef) and node.name == "LatticeSearch"]
+    return _literal(cls.body, "JOBS")
 
 
 if __name__ == "__main__":

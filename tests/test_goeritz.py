@@ -13,19 +13,18 @@ from obstruct import lattice as la
 
 
 def test_single_and_double_edge():
-    g1 = go.CheckerboardGraph(2, ((0, 1),))
+    g1 = go.CheckerboardGraph(2, ((0, 1, 1),))
     assert go.goeritz_matrix(g1).entries == ((-1,),)
-    g2 = go.CheckerboardGraph(2, ((0, 1), (0, 1)))
+    g2 = go.CheckerboardGraph(2, ((0, 1, 2),))
     assert go.goeritz_matrix(g2).entries == ((-2,),)
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        go.CheckerboardGraph(2, ((0, 0),))  # loop
-    with pytest.raises(ValueError):
-        go.CheckerboardGraph(3, ((0, 1),))  # disconnected
-    with pytest.raises(ValueError):
-        go.CheckerboardGraph(2, ((0, 2),))  # out of range
+    for edge in ((0, 0, 1), (1, 0, 1), (0, 1, 0), (0, 2, 1)):  # loop, u > v, no crossing, range
+        with pytest.raises(ValueError, match="need 0 <= u < v < 2 and crossings >= 1"):
+            go.CheckerboardGraph(2, (edge,))
+    with pytest.raises(ValueError, match="must be connected"):
+        go.goeritz_matrix(go.CheckerboardGraph(3, ((0, 1, 1),)))
 
 
 def test_l35_white_graph_matrix():
@@ -129,15 +128,16 @@ def test_fig3_black_parameter_validation():
 
 
 def connected_multigraph(rng, nv, extra):
-    """Random spanning tree plus `extra` random non-loop edges."""
+    """Random spanning tree plus `extra` random non-loop edges, one crossing
+    each."""
     edges = []
     for v in range(1, nv):
-        edges.append((rng.randrange(v), v))
+        edges.append((rng.randrange(v), v, 1))
     for _ in range(extra):
         u = rng.randrange(nv)
         v = rng.randrange(nv)
         if u != v:
-            edges.append((u, v))
+            edges.append((min(u, v), max(u, v), 1))
     return go.CheckerboardGraph(nv, tuple(edges))
 
 
@@ -152,6 +152,33 @@ def test_goeritz_symmetric_negative_definite(nv, extra, seed):
     for base in range(1, nv):
         # relabel so that vertex `base` becomes the basepoint 0
         swap = {0: base, base: 0}
-        edges = tuple((swap.get(u, u), swap.get(v, v)) for u, v in g.edges)
+        ends = [(swap.get(u, u), swap.get(v, v)) for u, v, _ in g.edges]
+        edges = tuple((min(u, v), max(u, v), 1) for u, v in ends)
         relabeled = go.goeritz_matrix(go.CheckerboardGraph(nv, edges))
         assert go.det_h1_order(relabeled) == d0
+
+
+def reaches_every_vertex(nv, edges):
+    """Search from vertex 0: the oracle for deciding connectivity by whether
+    the Goeritz form is negative definite."""
+    seen = {0}
+    while True:
+        reached = {v for u, v, _ in edges if u in seen} | {u for u, v, _ in edges if v in seen}
+        if reached <= seen:
+            return len(seen) == nv
+        seen |= reached
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 3)), max_size=9),
+)
+def test_goeritz_matrix_raises_exactly_when_disconnected(nv, triples):
+    edges = tuple((min(u, v), max(u, v), c) for u, v, c in triples if u != v and max(u, v) < nv)
+    graph = go.CheckerboardGraph(nv, edges)
+    if reaches_every_vertex(nv, edges):
+        assert go.goeritz_matrix(graph).is_negative_definite()
+    else:
+        with pytest.raises(ValueError, match="must be connected"):
+            go.goeritz_matrix(graph)

@@ -5,6 +5,7 @@ import random
 from math import comb, isqrt
 
 import pytest
+from golden_cli import lattice_search_jobs
 from oracles import BASIS_226, GD, SIGMA_226, brute_force_changemakers
 
 from obstruct import goeritz as go
@@ -100,6 +101,10 @@ def test_max_norm_bound_attained():
         doubling = tuple(2**i for i in range(length))
         assert la.Changemaker(doubling) in la.enumerate_changemakers(length, bound)
         assert la.enumerate_changemakers(length, bound + 1) == []
+        if length >= 3:  # the doubling vector's complement embeds at the bound only
+            gram = complement_gram(random.Random(length), la.Changemaker(doubling))
+            assert la.changemaker_obstruction(gram, bound).status == "witness"
+            assert la.changemaker_obstruction(gram, bound + 1).obstructed
 
 
 def test_norm_above_doubling_bound_returns_at_once(monkeypatch):
@@ -508,26 +513,23 @@ def test_targeted_enumeration_past_length_8():
     assert (checked, high_z) == (1648, 12)
 
 
-# the fig3-black parameters of the lattice-search benchmark: four obstructed
-# forms, then two with an early witness
-LATTICE_SEARCH_FORMS = (
-    (1, 4, 2, 4), (1, 4, 3, 3), (2, 3, 2, 4), (2, 3, 3, 4), (1, 2, 2, 3), (3, 2, 3, 2)
-)
+def lattice_search_forms():
+    """The (gram, all_witnesses) jobs of the lattice-search benchmark, in its
+    order; it queries each at p = |det|.  Fig3-black forms (four obstructed,
+    then two with an early witness), then L35-white."""
+    return [(GD if params is None else go.goeritz_matrix(go.fig3_black_graph(*params)), all_w)
+            for params, all_w in lattice_search_jobs()]
 
 
 def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
     """The filtered search against the slow path that tries every sigma, with
-    neither the norm <= 3 nor the norm-4 counts, on the 148 census forms, GD
-    at 226, two early-witness Goeritz forms and the four obstructed forms of
-    the lattice-search benchmark."""
+    neither the norm <= 3 nor the norm-4 counts, on the 148 census forms and
+    the seven forms of the lattice-search benchmark (GD at 226)."""
     cases = [
         (go.family_2odd_2odd(r.a, r.b), r.n) for r in mf.census_2odd(341)
     ]
     assert len(cases) == 148
-    cases.append((GD, 226))
-    for params in LATTICE_SEARCH_FORMS[:4] + ((1, 2, 2, 3), (3, 2, 3, 2)):
-        gram = go.goeritz_matrix(go.fig3_black_graph(*params))
-        cases.append((gram, abs(gram.determinant())))
+    cases += [(gram, abs(gram.determinant())) for gram, _ in lattice_search_forms()]
 
     def search():
         return [la.changemaker_obstruction(g, p, all_witnesses=True) for g, p in cases]
@@ -555,10 +557,9 @@ def test_norm4_count_after_first_failed_search(monkeypatch):
     monkeypatch.setattr(
         la, "_vector_counts", lambda u, top: tops.append(top) or vector_counts(u, top)
     )
-    for params in LATTICE_SEARCH_FORMS:
-        gram = go.goeritz_matrix(go.fig3_black_graph(*params))
-        la.changemaker_obstruction(gram, abs(gram.determinant()))
-    assert len(la.changemaker_obstruction(GD, 226, all_witnesses=True).witnesses) >= 1
+    results = [la.changemaker_obstruction(gram, abs(gram.determinant()), all_witnesses=all_w)
+               for gram, all_w in lattice_search_forms()]
+    assert sum(r.status == "witness" for r in results) == 3
     assert (len(searches), tops.count(4)) == (12, 5)
 
 
@@ -591,8 +592,8 @@ def test_enumeration_digest():
         "7dd203446352e57005185719f8514f9cc6ad8862005d2f37b20e24ce66bb75a7",
         "1a96672822ca2ab645495d275957854cc9cdf0db22d43791cab065d243851c41",
     )
-    grams = [go.goeritz_matrix(go.fig3_black_graph(*p)) for p in LATTICE_SEARCH_FORMS]
-    grams += [GD, go.goeritz_matrix(go.fig3_black_graph(3, 4, 3, 4))]
+    grams = [gram for gram, _ in lattice_search_forms()]
+    grams.append(go.goeritz_matrix(go.fig3_black_graph(3, 4, 3, 4)))
     yielded = []
     for gram in grams:
         facts = la._search_facts(gram)

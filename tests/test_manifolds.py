@@ -8,6 +8,8 @@ from math import gcd
 import pytest
 
 import oracles
+from obstruct import goeritz as go
+from obstruct import lattice as la
 from obstruct import manifolds as mf
 from obstruct import numtheory as nt
 from obstruct.numtheory import ResourceCapExceeded, square_root_mod
@@ -523,6 +525,30 @@ def test_census_digest_at_cap():
     assert (len(rows), digest) == (
         8463, "158cd74756d5ed771bde379d6b6bf802caec62f391c80217dc30d51718e22b9f"
     )
+
+
+def test_2odd_family_obstructed_by_norm_bound(monkeypatch):
+    """The (2, odd) case of the paper's "infinitely many": (2a+1)(2b+1) > 341
+    gives n = 4(2a+1)(2b+1) - 1 > 1365 = changemaker_max_norm(6), so no
+    changemaker of length 6 has norm n, and slope -n is obstructed before any
+    Gram facts are computed.  At or below 341 the census finds exactly five
+    witnesses among 148 rows."""
+    rows = mf.census_2odd(341)
+    assert len(rows) == 148
+    witnesses = [(r.a, r.b) for r in rows if r.status == "witness"]
+    assert witnesses == [(1, 1), (1, 2), (1, 3), (2, 3), (3, 3)]
+
+    def no_facts(gram):
+        raise AssertionError("the norm bound decides before the Gram facts")
+
+    monkeypatch.setattr(la, "_search_facts", no_facts)
+    beyond = [(a, b) for a in range(1, 50) for b in range(a, 5000)
+              if 341 < (2 * a + 1) * (2 * b + 1) <= 10**4]
+    assert len(beyond) == 8463 - 148
+    assert all(mf._census_row(a, b).status == "obstructed" for a, b in beyond)
+    a, b = 10**6, 10**6 + 1
+    n = 4 * (2 * a + 1) * (2 * b + 1) - 1
+    assert la.changemaker_obstruction(go.family_2odd_2odd(a, b), n).obstructed
 
 
 def test_census_rejects_nonpositive_max_product():

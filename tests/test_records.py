@@ -22,7 +22,7 @@ TK = obstruct.TorusKnot
 
 # one instance per public record class, built by keyword in field order
 PUBLIC = {
-    "CheckerboardGraph": dict(vertex_count=3, edges=((0, 1), (1, 2), (0, 2))),
+    "CheckerboardGraph": dict(vertex_count=3, edges=((0, 1, 1), (0, 2, 1), (1, 2, 2))),
     "Changemaker": dict(entries=(1, 1, 2)),
     "EMKnot": dict(l=2, m=2, n=0, p=0),
     "Embedding": dict(sigma=obstruct.Changemaker((1, 1)), vectors=((1, -1),)),
