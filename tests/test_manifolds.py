@@ -202,6 +202,20 @@ def test_jacobi_exit_matches_factoring_on_splices(monkeypatch):
     assert exits > 100
 
 
+def test_integral_obstructions_digest():
+    """(residue_ab, residue_cd, witness) of both signs for the grid, its
+    mirrors and 500 seeded splices, as the verdict builds them and as
+    integral_obstruction does, pinned by digest."""
+    rows = []
+    for y in grid_and_random_splices(23):
+        v = mf.not_surgery_verdict(y)
+        for ob in (v.integral_plus, v.integral_minus):
+            assert ob == mf.integral_obstruction(y, ob.sign), (y, ob.sign)
+            rows.append([ob.residue_ab, ob.residue_cd, ob.witness])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "de18ab73914754438d317ddfe97786736db3e04bf7ae41c5436c44d3cf250903"
+
+
 def test_verdict_factors_each_n_at_most_once():
     """splice-2-3 (n = 37) has Jacobi symbol -1 for both signs and never
     factors; splice-3-4 (n = 145) has +1 on a non-square, factors for the

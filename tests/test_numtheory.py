@@ -291,6 +291,71 @@ def test_square_root_mod_witnesses_locked():
     assert digest == "bd7393a604453cab1a1ee6e4b504103d44ac927e6dfb04f23183ace292e733d6"
 
 
+def prime_in(rng, lo, hi):
+    p = rng.randrange(lo, hi)
+    while not oracles.is_prime(p):
+        p = p + 1 if p + 1 < hi else lo
+    return p
+
+
+def large_n_sample(seed=23):
+    """(a, n) pairs with n < 2^63 whose square roots reach each branch of the
+    walk of n's primes:
+
+    * n = p^2 q and p^3 with p >= 4096, so repeated large primes come out of
+      Pollard rho, with residues divisible by p and by p^2;
+    * 2^k exactly dividing n for k = 1..5, times p^2 q;
+    * n = s p q with s < 4096 prime and p, q >= 4096, and a residue a such
+      that a and -a are non-squares mod s while the Jacobi symbol of the odd
+      part of n is +1 for both, so both signs die at s before the composite
+      cofactor p q is split;
+    * a random residue and a square for each n of sample_63_bit().
+    """
+    rng = random.Random(seed)
+    pairs = []
+
+    def residues(n, p):
+        x = rng.randrange(n)
+        for a in (rng.randrange(n), x * x % n, p * rng.randrange(n), p * p * rng.randrange(n)):
+            pairs.append((a % n, n))
+
+    for _ in range(30):
+        p = prime_in(rng, 4096, 2**20)
+        residues(p * p * prime_in(rng, 4096, 2**22), p)
+        p = prime_in(rng, 4096, 2**21)
+        residues(p**3, p)
+    for k in range(1, 6):
+        for _ in range(6):
+            p = prime_in(rng, 4096, 2**18)
+            residues(2**k * p * p * prime_in(rng, 4096, 2**20), p)
+    # -1 is a square mod s and mod p q, so a and -a have the same symbols
+    small = [s for s in range(5, 4096, 4) if oracles.is_prime(s)]
+    for _ in range(30):
+        s = rng.choice(small)
+        p = q = prime_in(rng, 4096, 2**20)
+        while q % 4 != p % 4 or q == p:
+            q = prime_in(rng, 4096, 2**20)
+        n = s * p * q * 2 ** rng.randrange(3)
+        while True:
+            a = rng.randrange(n)
+            if all(legendre(b, s) == -1 and legendre(b, p) * legendre(b, q) == -1
+                   for b in (a, -a)):
+                break
+        pairs += [(a, n), (rng.randrange(n), n)]
+    for n in sample_63_bit():
+        x = rng.randrange(n)
+        pairs += [(rng.randrange(n), n), (x * x % n, n)]
+    return pairs
+
+
+def test_square_root_mod_large_n_digest():
+    """The witness or None for both signs of every pair of large_n_sample(),
+    pinned by digest."""
+    roots = [[nt.square_root_mod(a, n), nt.square_root_mod(-a, n)] for a, n in large_n_sample()]
+    digest = hashlib.sha256(json.dumps(roots).encode()).hexdigest()
+    assert digest == "6219047ac93b3de6552160f39ab74afb0c84c2665a0d0e5c16e0ba99105edc00"
+
+
 def test_sqrt_mod_prime_on_63_bit_primes():
     """For s = 1..40 the first prime p = k 2^s + 1 with k odd from
     k = 2^(62 - s) + 1: square exactly when the oracle says so, and for s = 1
