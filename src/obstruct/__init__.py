@@ -54,7 +54,6 @@ from .numtheory import (
     in_Sprime,
     is_prime,
     product_bound,
-    square_root_mod,
 )
 from .repvar import (
     IrrepWitness,
@@ -101,6 +100,5 @@ __all__ = [
     "not_surgery_verdict",
     "parse_gram_text",
     "product_bound",
-    "square_root_mod",
     "x1_singular_orders",
 ]

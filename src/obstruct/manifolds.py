@@ -33,7 +33,7 @@ from typing import NamedTuple
 from . import goeritz as _goeritz
 from . import lattice as _lattice
 from ._record import Record
-from .numtheory import ResourceCapExceeded, in_S, in_Sprime, square_root_mod
+from .numtheory import ResourceCapExceeded, _square_roots_mod, in_S, in_Sprime
 
 MAX_CENSUS_PRODUCT = 10**4  # bounds the report's size (8,463 rows), not search time
 
@@ -142,18 +142,31 @@ class IntegralObstruction(NamedTuple):
         return "obstructed" if self.obstructed else "inconclusive"
 
 
-def integral_obstruction(y: Splice, sign: int) -> IntegralObstruction:
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+def _integral_obstructions(y: Splice, signs: tuple[int, ...]) -> list[IntegralObstruction]:
+    """The residue test of each sign, all decided by one walk of n's primes."""
     big_n = y.signed_h1()
     n = abs(big_n)
     s0 = 1 if big_n > 0 else -1
-    res_ab = sign * s0 * y.first.product % n
-    res_cd = sign * s0 * y.second.product % n
-    w_ab = square_root_mod(res_ab, n)  # res_cd = 1 / res_ab mod n: one root decides both
-    return IntegralObstruction(
-        sign=sign, n=n, residue_ab=res_ab, residue_cd=res_cd, witness=w_ab
-    )
+    res_ab = [sign * s0 * y.first.product % n for sign in signs]
+    witnesses = _square_roots_mod(res_ab, n)  # res_cd = 1 / res_ab mod n: one root decides both
+    return [
+        IntegralObstruction(
+            sign=sign, n=n, residue_ab=ab, residue_cd=sign * s0 * y.second.product % n, witness=w
+        )
+        for sign, ab, w in zip(signs, res_ab, witnesses)
+    ]
+
+
+def integral_obstruction(y: Splice, sign: int) -> IntegralObstruction:
+    """Whether surgery of slope sign * n, n = |H_1(y)|, is ruled out by the
+    linking form.  The residues are sign * sgn(abcd - 1) * ab and the same
+    with cd, mod n; the witness is a square root x of the ab residue mod n,
+    the smaller of x and n - x, and None (obstructed) when there is none.
+    :func:`not_surgery_verdict` decides both signs in one walk of n's primes.
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    return _integral_obstructions(y, (sign,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +505,7 @@ def not_surgery_verdict(y: Splice, with_changemaker: bool = False) -> SpliceVerd
     obstruction allowed to settle the -n side when requested.
     """
     nonintegral = nonintegral_classification(y)
-    plus = integral_obstruction(y, +1)
-    minus = integral_obstruction(y, -1)
+    plus, minus = _integral_obstructions(y, (1, -1))
     shortcut = _shortcut_report(y)
     changemaker = _changemaker_report(y) if with_changemaker else None
 

@@ -4,7 +4,10 @@ Everything here is computed with exact integer (or ``Fraction``) arithmetic:
 deterministic factorization, square roots modulo n decided by Euler's criterion
 (one routine for every prime power, roots joined by the CRT) after a Jacobi
 symbol test that rules most non-squares out without factoring n, and membership
-plus density computations for two density-zero sets of integers:
+plus density computations for two density-zero sets of integers.  Several
+residues mod one n share a single walk of n's primes, which stops as soon as
+none of them can still be a square, so the rest of n is never split.  The two
+sets are:
 
 * ``S``  -- n such that every odd prime divisor of n^2 + 1 is 1 mod 8;
 * ``Sprime`` -- n such that no prime divisor of n - 1 is 3 mod 4, or no
@@ -22,13 +25,14 @@ limit bytes and refuses limits above ``MAX_DENSITY_LIMIT`` (10^8) with
 ``in_Sprime`` decide a single n.
 
 Inputs are restricted to signed 64-bit range.  All functions are pure;
-``factor`` keeps its last four results (a verdict factors the same n for both
-signs), and its results are immutable, so concurrent use is safe.
+``factor`` keeps its last four results, a cache that stays only because the
+benchmark reads its ``cache_info()``, and its results are immutable, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
@@ -237,8 +241,9 @@ def _split(n: int) -> Iterator[tuple[int, int]]:
 def factor(n: int) -> Factorization:
     """Complete prime factorization of n >= 1, by :func:`_split`: one gcd
     finds the primes below 4096, then Miller-Rabin, with as many bases as
-    each cofactor's size needs, and Pollard rho.  Results are immutable; the
-    last four are cached.
+    each cofactor's size needs, and Pollard rho.  Results are immutable.  No
+    library path calls it; the cache of the last four stays only because the
+    benchmark reads its ``cache_info()``.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
@@ -341,38 +346,58 @@ def _sqrt_mod_prime_power(a: int, p: int, e: int) -> int | None:
     return r * p ** (t // 2) % pe
 
 
-def square_root_mod(a: int, n: int) -> int | None:
-    """A witness x in [0, n) with x^2 = a (mod n), or None if a is not a
-    square modulo n.
+def _square_roots_mod(residues: Sequence[int], n: int) -> list[int | None]:
+    """For each residue a, a witness x in [0, n) with x^2 = a (mod n), the
+    smaller of x and n - x, or None if a is not a square modulo n.  Needs
+    n >= 1; an n outside the 64-bit range raises OverflowError.
 
     First the Jacobi symbol (a / m) over the odd part m of n: -1 proves that
-    a is not a square, and n is not factored.  For if x^2 = a mod n, then
-    x^2 = a mod m; when gcd(a, m) = 1, a is then a nonzero square modulo
-    every prime p of m, so each Legendre factor (a / p) is +1, and when
-    gcd(a, m) > 1 some factor is 0.  Otherwise decides via the factorization
-    of n, one root modulo each prime power (:func:`_sqrt_mod_prime_power`),
-    and a CRT combination; the witness is deterministic: the smaller of x and
-    n - x.
+    a is not a square.  For if x^2 = a mod n, then x^2 = a mod m; when
+    gcd(a, m) = 1, a is then a nonzero square modulo every prime p of m, so
+    each Legendre factor (a / p) is +1, and when gcd(a, m) > 1 some factor
+    is 0.  The residues left share one walk of :func:`_split`: each prime p
+    of n is taken once, with its full exponent e in what remains of n (a
+    prime above _TRIAL_LIMIT comes once per occurrence), each live residue
+    is rooted mod p^e (:func:`_sqrt_mod_prime_power`) and joined to its root
+    so far by the CRT, and a residue without a root mod p^e is not a square.
+    The walk stops once no residue is live, so the rest of n is not split.
+    The CRT root mod n does not depend on the order of the primes.
     """
+    _check_width(n)
+    odd = n >> ((n & -n).bit_length() - 1)
+    roots: list[int | None] = [None if _jacobi(a, odd) == -1 else 0 for a in residues]
+    live = [i for i, x in enumerate(roots) if x is not None]
+    if live:
+        walk = _split(n)
+        rest, mod = n, 1
+        for p, e in walk:
+            if e == 0 or rest % p:
+                continue  # a cofactor, or a prime already taken
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            pe = p**e
+            inv = pow(mod, -1, pe)
+            for i in live:
+                r, x = _sqrt_mod_prime_power(residues[i], p, e), roots[i]
+                roots[i] = None if r is None else x + mod * ((r - x) * inv % pe)
+            live = [i for i in live if roots[i] is not None]
+            if not live:
+                walk.close()
+                break
+            mod *= pe
+    return [x if x is None else min(x, n - x) for x in roots]
+
+
+def square_root_mod(a: int, n: int) -> int | None:
+    """A witness x in [0, n) with x^2 = a (mod n), the smaller of x and
+    n - x, or None if a is not a square modulo n: the one-residue case of
+    :func:`_square_roots_mod`."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    _check_width(n)
     _check_width(a)
-    a %= n
-    if _jacobi(a, n >> ((n & -n).bit_length() - 1)) == -1:
-        return None
-    x, mod = 0, 1
-    for p, e in factor(n).factors:
-        pe = p**e
-        r = _sqrt_mod_prime_power(a, p, e)
-        if r is None:
-            return None
-        # CRT: combine x mod `mod` with r mod pe
-        inv = pow(mod, -1, pe)
-        x = x + mod * ((r - x) * inv % pe)
-        mod *= pe
-    x %= n
-    return min(x, (n - x) % n)
+    return _square_roots_mod((a,), n)[0]
 
 
 def _odd_divisors_one_mod(d: int, modulus: int) -> bool:

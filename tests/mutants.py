@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 NT = "numtheory.py"
 T_NT = "tests/test_numtheory.py::"
+T_MF = "tests/test_manifolds.py::"
 
 MUTANTS = (
     # Tonelli-Shanks and Euler's criterion
@@ -56,10 +57,25 @@ MUTANTS = (
            (T_NT + "test_square_root_mod_witnesses_locked",
             T_NT + "test_jacobi_is_product_of_legendre")),
     Mutant("jacobi-exit-on-zero", NT,
-           "_jacobi(a, n >> ((n & -n).bit_length() - 1)) == -1",
-           "_jacobi(a, n >> ((n & -n).bit_length() - 1)) != 1",
+           "None if _jacobi(a, odd) == -1 else 0", "None if _jacobi(a, odd) != 1 else 0",
            (T_NT + "test_square_root_mod_witnesses_locked",
             T_NT + "test_square_root_mod_exhaustive_small")),
+    Mutant("jacobi-exit-on-n-not-its-odd-part", NT,
+           "None if _jacobi(a, odd) == -1", "None if _jacobi(a, n) == -1",
+           (T_NT + "test_square_root_mod_witnesses_locked",)),
+    # the shared walk of n's primes
+    Mutant("walk-closed-one-residue-early", NT,
+           "            if not live:\n                walk.close()",
+           "            if len(live) <= 1:\n                walk.close()",
+           (T_NT + "test_square_root_mod_witnesses_locked",)),
+    Mutant("walk-never-closed-early", NT,
+           "            if not live:\n                walk.close()\n                break\n", "",
+           (T_MF + "test_verdict_walks_n_once_and_splits_only_while_a_sign_lives",)),
+    Mutant("repeated-large-prime-counted-per-occurrence", NT,
+           "            e = 0\n            while rest % p == 0:\n                rest //= p\n"
+           "                e += 1\n",
+           "            rest //= p**e\n",
+           (T_NT + "test_square_root_mod_large_n_digest",)),
     # factoring: the trial gcd, the prime cofactor bound, the Miller-Rabin bases
     Mutant("trial-gcd-drops-last-prime", NT,
            "    if g > 1:\n        small.append(g)\n", "",
@@ -120,7 +136,7 @@ def main(names: list[str]) -> int:
             why = check(m, Path(tmp))
             bad += why is not None
             status = "killed" if why is None else f"FAIL: {why}"
-            print(f"{m.name:40} {time.perf_counter() - t0:5.1f} s  {status}", flush=True)
+            print(f"{m.name:44} {time.perf_counter() - t0:5.1f} s  {status}", flush=True)
     print(f"{len(rows) - bad} of {len(rows)} mutants killed")
     return 1 if bad else 0
 

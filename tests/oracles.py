@@ -122,6 +122,24 @@ def check_factorization(f):
     assert product == f.value, f"{f}: the factors multiply to {product}"
 
 
+def square_root_mod_by_factoring(a, n):
+    """The witness of nt.square_root_mod, or None, the slow way: factor n
+    completely, root a modulo each prime power and join the roots by the
+    CRT, with no Jacobi exit and no early stop; the oracle for
+    nt._square_roots_mod."""
+    a %= n
+    x, mod = 0, 1
+    for p, e in nt.factor(n).factors:
+        pe = p**e
+        r = nt._sqrt_mod_prime_power(a, p, e)
+        if r is None:
+            return None
+        x = x + mod * ((r - x) * pow(mod, -1, pe) % pe)
+        mod *= pe
+    x %= n
+    return min(x, (n - x) % n)
+
+
 def chi_8m(a, m):
     """(2m / p) for the least prime p = a mod 8m, where m is odd and a is a
     unit mod 8m; by quadratic reciprocity this is a character of a."""

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -216,17 +217,40 @@ def test_integral_obstructions_digest():
     assert digest == "de18ab73914754438d317ddfe97786736db3e04bf7ae41c5436c44d3cf250903"
 
 
-def test_verdict_factors_each_n_at_most_once():
-    """splice-2-3 (n = 37) has Jacobi symbol -1 for both signs and never
-    factors; splice-3-4 (n = 145) has +1 on a non-square, factors for the
-    first sign and finds n in factor's cache for the second."""
-    nt.factor.cache_clear()
+def test_verdict_walks_n_once_and_splits_only_while_a_sign_lives(monkeypatch):
+    """splice-2-3 (n = 37) has Jacobi symbol -1 for both signs, and its
+    residue test never walks n's primes; splice-3-4 (n = 145) has +1 on a
+    non-square and walks them once for both signs.  (Both are opposite mirror
+    pairs, whose in_S shortcut walks k^2 + 1 = n once more.)  For
+    n = 158,868,865 = 5 * 4127 * 7699 both signs have Jacobi symbol +1 and
+    die at 5, so the composite cofactor 4127 * 7699 > 4096^2 is never proved
+    or split."""
+    walks = []
+    split = nt._split
+
+    def counted(n):
+        walks.append((sys._getframe(1).f_code.co_name, n))
+        return split(n)
+
+    monkeypatch.setattr(nt, "_split", counted)
     mf.not_surgery_verdict(mf.Splice.of(2, 3, 2, -3))
-    assert nt.factor.cache_info().misses == 0
-    nt.factor.cache_clear()
+    assert walks == [("_odd_divisors_one_mod", 37)]
+    walks.clear()
     mf.not_surgery_verdict(mf.Splice.of(3, 4, -3, 4))
-    info = nt.factor.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert walks == [("_square_roots_mod", 145), ("_odd_divisors_one_mod", 145)]
+    walks.clear()
+
+    def unreachable(n):
+        raise AssertionError(f"{n} was proved or split after both signs died")
+
+    monkeypatch.setattr(nt, "_pollard_rho", unreachable)
+    monkeypatch.setattr(nt, "is_prime", unreachable)
+    y = mf.Splice.of(-64, 63, 199, 198)
+    v = mf.not_surgery_verdict(y)
+    assert walks == [("_square_roots_mod", 158868865)] and v.h1 == 158868865
+    assert v.integral_plus.obstructed and v.integral_minus.obstructed
+    m = v.h1  # odd
+    assert all(nt._jacobi(ob.residue_ab, m) == 1 for ob in (v.integral_plus, v.integral_minus))
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,24 @@ def test_square_root_mod_large_n_digest():
     assert digest == "6219047ac93b3de6552160f39ab74afb0c84c2665a0d0e5c16e0ba99105edc00"
 
 
+def test_square_roots_mod_match_factoring_oracle():
+    """Both signs of each pair of large_n_sample() in one call: residue by
+    residue, the witness or None of the factor-then-CRT oracle."""
+    for a, n in large_n_sample():
+        want = [oracles.square_root_mod_by_factoring(b, n) for b in (a, -a)]
+        assert nt._square_roots_mod((a, -a), n) == want, (a, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_square_roots_mod_match_factoring_oracle_below_2_63(data):
+    n = data.draw(st.integers(min_value=1, max_value=2**63 - 1))
+    a, x = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    residues = (a, -a, x * x % n)
+    want = [oracles.square_root_mod_by_factoring(b, n) for b in residues]
+    assert nt._square_roots_mod(residues, n) == want
+
+
 def test_sqrt_mod_prime_on_63_bit_primes():
     """For s = 1..40 the first prime p = k 2^s + 1 with k odd from
     k = 2^(62 - s) + 1: square exactly when the oracle says so, and for s = 1
