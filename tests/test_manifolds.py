@@ -192,7 +192,7 @@ def test_residue_agreement_small_indices():
 
 def test_jacobi_exit_matches_factoring_on_splices(monkeypatch):
     """Both signs of the grid, its mirrors and 500 seeded splices give the
-    same obstruction with and without square_root_mod's Jacobi exit."""
+    same obstruction with and without the Jacobi exit of _square_roots_mod."""
     splices = grid_and_random_splices(19)
     fast = [mf.integral_obstruction(y, sign) for y in splices for sign in (1, -1)]
     odd_part = [ob.n >> ((ob.n & -ob.n).bit_length() - 1) for ob in fast]
