@@ -631,14 +631,15 @@ def changemaker_obstruction(
     ten times as long as the norm <= 3 counts (the rank-30 form -I has 438,540
     vectors of norm 4), which a query whose first search succeeds never pays.
     The facts about G are computed once, not once per changemaker.  A rank + 1
-    above ``MAX_CHANGEMAKER_LENGTH`` raises ResourceCapExceeded.
+    above ``MAX_CHANGEMAKER_LENGTH`` raises ResourceCapExceeded, and p < 1
+    raises ValueError, both before any work.
     """
     _check_length(gram.rank + 1)
+    if p < 1:
+        raise ValueError(f"norm p must be positive, got {p}")
     if p > changemaker_max_norm(gram.rank + 1) and gram.is_negative_definite():
         return ObstructionResult("obstructed", ())
     facts = _search_facts(gram)  # ValueError unless gram is negative definite
-    if p < 1:
-        raise ValueError(f"norm p must be positive, got {p}")
     fits = _index_fit(facts.det, p)
     if fits is None:
         return ObstructionResult("obstructed", ())

@@ -4,10 +4,10 @@ Everything here is computed with exact integer (or ``Fraction``) arithmetic:
 deterministic factorization, square roots modulo n decided by Euler's criterion
 (one routine for every prime power, roots joined by the CRT) after a Jacobi
 symbol test that rules most non-squares out without factoring n, and membership
-plus density computations for two density-zero sets of integers.  Several
-residues mod one n share a single walk of n's primes, which stops as soon as
-none of them can still be a square, so the rest of n is never split.  The two
-sets are:
+plus density computations for two density-zero sets of integers.  One walk
+yields each prime of n once, with its full exponent; several residues mod n
+share it, and it stops once none of them can still be a square, so the rest
+of n is never split.  The two sets are:
 
 * ``S``  -- n such that every odd prime divisor of n^2 + 1 is 1 mod 8;
 * ``Sprime`` -- n such that no prime divisor of n - 1 is 3 mod 4, or no
@@ -199,14 +199,16 @@ class Factorization(Record):
 
 
 def _split(n: int) -> Iterator[tuple[int, int]]:
-    """The prime factors of n >= 1 as pairs (p, e), e >= 1: the primes below
-    _TRIAL_LIMIT ascending with their exponents, then each larger one as
-    often as it occurs.  Each cofactor c that has no prime below
-    _TRIAL_LIMIT is first yielded as (c, 0), so a caller can stop at c.
+    """Each prime p of n >= 1 once, as (p, e) with e its full exponent: the
+    primes below _TRIAL_LIMIT ascending, then the larger ones.  Each cofactor
+    c > 1 with no prime below _TRIAL_LIMIT is first yielded as (c, 0), before
+    it is proved or split, so a caller can stop at c.
 
     g = gcd(n, _TRIAL_PRODUCT) is the product of the distinct primes below
     _TRIAL_LIMIT that divide n; once p^2 > g and g has no prime below p, g
-    is 1 or a prime.  A cofactor c < _TRIAL_LIMIT^2 is prime, since a
+    is 1 or a prime.  A popped cofactor is cut to its gcd with what is left
+    of n, and each prime taken is divided out of n as often as it goes, so no
+    prime is proved twice.  A cofactor c < _TRIAL_LIMIT^2 is prime, since a
     composite has a prime factor at most its square root; a larger c is
     proved by :func:`is_prime` or split by Pollard rho.
     """
@@ -228,10 +230,16 @@ def _split(n: int) -> Iterator[tuple[int, int]]:
         yield p, e
     stack = [n] if n > 1 else []
     while stack:
-        c = stack.pop()
+        c = gcd(stack.pop(), n)
+        if c == 1:
+            continue
         yield c, 0
         if c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
-            yield c, 1
+            e = 0
+            while n % c == 0:
+                n //= c
+                e += 1
+            yield c, e
         else:
             d = _pollard_rho(c)
             stack += (d, c // d)
@@ -248,11 +256,7 @@ def factor(n: int) -> Factorization:
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     _check_width(n)
-    found: dict[int, int] = {}
-    for p, e in _split(n):
-        if e:
-            found[p] = found.get(p, 0) + e
-    return Factorization(n, tuple(sorted(found.items())))
+    return Factorization(n, tuple(sorted((p, e) for p, e in _split(n) if e)))
 
 
 def _jacobi(a: int, m: int) -> int:
@@ -355,49 +359,32 @@ def _square_roots_mod(residues: Sequence[int], n: int) -> list[int | None]:
     a is not a square.  For if x^2 = a mod n, then x^2 = a mod m; when
     gcd(a, m) = 1, a is then a nonzero square modulo every prime p of m, so
     each Legendre factor (a / p) is +1, and when gcd(a, m) > 1 some factor
-    is 0.  The residues left share one walk of :func:`_split`: each prime p
-    of n is taken once, with its full exponent e in what remains of n (a
-    prime above _TRIAL_LIMIT comes once per occurrence), each live residue
-    is rooted mod p^e (:func:`_sqrt_mod_prime_power`) and joined to its root
-    so far by the CRT, and a residue without a root mod p^e is not a square.
-    The walk stops once no residue is live, so the rest of n is not split.
-    The CRT root mod n does not depend on the order of the primes.
+    is 0.  The residues left share one walk of :func:`_split`, which yields
+    each prime p of n once with its full exponent e: each live residue is
+    rooted mod p^e (:func:`_sqrt_mod_prime_power`) and joined to its root so
+    far by the CRT, and a residue without a root mod p^e is not a square.
+    The loop breaks once no residue is live, which drops the walk, so the
+    rest of n is not split.  The CRT root mod n does not depend on the order
+    of the primes.
     """
     _check_width(n)
     odd = n >> ((n & -n).bit_length() - 1)
     roots: list[int | None] = [None if _jacobi(a, odd) == -1 else 0 for a in residues]
     live = [i for i, x in enumerate(roots) if x is not None]
-    if live:
-        walk = _split(n)
-        rest, mod = n, 1
-        for p, e in walk:
-            if e == 0 or rest % p:
-                continue  # a cofactor, or a prime already taken
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            pe = p**e
-            inv = pow(mod, -1, pe)
-            for i in live:
-                r, x = _sqrt_mod_prime_power(residues[i], p, e), roots[i]
-                roots[i] = None if r is None else x + mod * ((r - x) * inv % pe)
-            live = [i for i in live if roots[i] is not None]
-            if not live:
-                walk.close()
-                break
-            mod *= pe
+    mod = 1
+    for p, e in _split(n) if live else ():
+        if e == 0:
+            continue  # a cofactor, yielded before it is proved or split
+        pe = p**e
+        inv = pow(mod, -1, pe)
+        for i in live:
+            r, x = _sqrt_mod_prime_power(residues[i], p, e), roots[i]
+            roots[i] = None if r is None else x + mod * ((r - x) * inv % pe)
+        live = [i for i in live if roots[i] is not None]
+        if not live:
+            break
+        mod *= pe
     return [x if x is None else min(x, n - x) for x in roots]
-
-
-def square_root_mod(a: int, n: int) -> int | None:
-    """A witness x in [0, n) with x^2 = a (mod n), the smaller of x and
-    n - x, or None if a is not a square modulo n: the one-residue case of
-    :func:`_square_roots_mod`."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    _check_width(a)
-    return _square_roots_mod((a,), n)[0]
 
 
 def _odd_divisors_one_mod(d: int, modulus: int) -> bool:

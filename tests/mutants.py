@@ -36,8 +36,11 @@ class Mutant(NamedTuple):
 
 
 NT = "numtheory.py"
+LA = "lattice.py"
 T_NT = "tests/test_numtheory.py::"
 T_MF = "tests/test_manifolds.py::"
+T_LA = "tests/test_lattice.py::"
+T_GO = "tests/test_goeritz.py::"
 
 MUTANTS = (
     # Tonelli-Shanks and Euler's criterion
@@ -65,16 +68,19 @@ MUTANTS = (
            (T_NT + "test_square_root_mod_witnesses_locked",)),
     # the shared walk of n's primes
     Mutant("walk-closed-one-residue-early", NT,
-           "            if not live:\n                walk.close()",
-           "            if len(live) <= 1:\n                walk.close()",
+           "        if not live:\n            break\n",
+           "        if len(live) <= 1:\n            break\n",
            (T_NT + "test_square_root_mod_witnesses_locked",)),
     Mutant("walk-never-closed-early", NT,
-           "            if not live:\n                walk.close()\n                break\n", "",
+           "        if not live:\n            break\n", "",
            (T_MF + "test_verdict_walks_n_once_and_splits_only_while_a_sign_lives",)),
-    Mutant("repeated-large-prime-counted-per-occurrence", NT,
-           "            e = 0\n            while rest % p == 0:\n                rest //= p\n"
-           "                e += 1\n",
-           "            rest //= p**e\n",
+    # each prime once from _split: same output without the gcd, but a prime
+    # that Pollard rho returns twice is proved twice
+    Mutant("split-cofactor-without-gcd-with-rest", NT,
+           "c = gcd(stack.pop(), n)", "c = stack.pop()",
+           (T_NT + "test_split_yields_each_prime_once",)),
+    Mutant("split-exponent-counted-with-if", NT,
+           "            while n % c == 0:\n", "            if n % c == 0:\n",
            (T_NT + "test_square_root_mod_large_n_digest",)),
     # factoring: the trial gcd, the prime cofactor bound, the Miller-Rabin bases
     Mutant("trial-gcd-drops-last-prime", NT,
@@ -89,6 +95,34 @@ MUTANTS = (
     Mutant("eleven-bases-past-psi_9", NT,
            "if n < bound), len(_MR_BASES))", "if n < bound), len(_MR_BASES) - 1)",
            (T_NT + "test_is_prime_bounds_are_psi_k",)),
+    # lattice: the norm-4 closed form, the last three entries of the enumeration
+    # and the norm bound before the Gram facts
+    Mutant("norm4-closed-form-without-q22", LA,
+           "2 * (q13 + q22)", "2 * q13",
+           (T_LA + "test_obstruction_results",
+            T_LA + "test_complement_norm4_count_against_brute_force")),
+    Mutant("enumeration-stops-at-a=S+c+1", LA,
+           "                    if a > ahi:\n", "                    if a >= ahi:\n",
+           (T_LA + "test_enumeration_examples",
+            T_LA + "test_enumeration_matches_brute_force")),
+    Mutant("norm-bound-obstructs-at-the-bound", LA,
+           "if p > changemaker_max_norm(gram.rank + 1) and",
+           "if p >= changemaker_max_norm(gram.rank + 1) and",
+           (T_LA + "test_max_norm_bound_attained",)),
+    # goeritz, manifolds, cli
+    Mutant("goeritz-off-diagonal-without-weight", "goeritz.py",
+           "            rows[u - 1][v - 1] += crossings\n"
+           "            rows[v - 1][u - 1] += crossings\n",
+           "            rows[u - 1][v - 1] += 1\n            rows[v - 1][u - 1] += 1\n",
+           (T_GO + "test_l35_white_graph_matrix", T_GO + "test_goeritz_forms_digest")),
+    Mutant("mirror-without-unknot-case", "manifolds.py",
+           "        if self.is_trivial:\n            return self\n        knot = object.__new__",
+           "        knot = object.__new__",
+           (T_MF + "test_mirror_matches_the_constructor",)),
+    Mutant("cli-imports-logging-at-start-up", "cli.py",
+           "from . import lattice, manifolds, numtheory, repvar\n",
+           "import logging\nfrom . import lattice, manifolds, numtheory, repvar\n",
+           ("tests/test_cli.py::test_import_cli_leaves_logging_out",)),
     # Equivalent mutants, which no test can kill:
     # - `p * p >= g` for `p * p > g` in _split: g is squarefree, so never p^2;
     # - _split without its (c, 0) entries: they only let a caller stop early.

@@ -1,5 +1,6 @@
 """Reference implementations that several test files check the library
-against, and the fixtures they share.  The library never calls them, so they
+against, the fixtures they share, and ``square_root_mod``, the one shared
+helper that calls the code under test.  The library never calls them, so they
 skip the input checks and caps of a public function.  Import as
 ``import oracles``; pytest does not collect this file."""
 
@@ -122,8 +123,15 @@ def check_factorization(f):
     assert product == f.value, f"{f}: the factors multiply to {product}"
 
 
+def square_root_mod(a, n):
+    """Not an oracle but the code under test: nt._square_roots_mod for the
+    one residue a, the witness x in [0, n) with x^2 = a (mod n), the smaller
+    of x and n - x, or None if a is not a square modulo n."""
+    return nt._square_roots_mod((a,), n)[0]
+
+
 def square_root_mod_by_factoring(a, n):
-    """The witness of nt.square_root_mod, or None, the slow way: factor n
+    """The witness of square_root_mod, or None, the slow way: factor n
     completely, root a modulo each prime power and join the roots by the
     CRT, with no Jacobi exit and no early stop; the oracle for
     nt._square_roots_mod."""

@@ -53,7 +53,7 @@ def test_acceptance_03_2m_never_square():
         (m, n)
         for m in range(1, 140, 2)
         for n in range(1, 140, 2)
-        if nt.square_root_mod(2 * m, 4 * m * n - 1) is not None
+        if oracles.square_root_mod(2 * m, 4 * m * n - 1) is not None
     ]
     report(3, not bad, f"2m is a non-square mod 4mn-1 in 4900 odd cases; failures: {bad[:3]}")
 

@@ -221,6 +221,18 @@ def test_obstruction_rejects_nonpositive_norm():
             la.changemaker_obstruction(GD, p)
 
 
+def test_nonpositive_norm_rejected_before_gram_facts(monkeypatch):
+    """p < 1 is refused before _search_facts, whose norm <= 3 count can run
+    for a minute on a large form."""
+
+    def no_facts(gram):
+        raise AssertionError("Gram facts computed")
+
+    monkeypatch.setattr(la, "_search_facts", no_facts)
+    with pytest.raises(ValueError, match="norm p must be positive"):
+        la.changemaker_obstruction(GD, 0)
+
+
 def test_embed_length_mismatch():
     with pytest.raises(ValueError):
         la.embed_in_complement(GD, la.Changemaker((1, 1)))

@@ -13,7 +13,7 @@ from obstruct import goeritz as go
 from obstruct import lattice as la
 from obstruct import manifolds as mf
 from obstruct import numtheory as nt
-from obstruct.numtheory import ResourceCapExceeded, square_root_mod
+from obstruct.numtheory import ResourceCapExceeded
 
 # ---------------------------------------------------------------------------
 # torus knots
@@ -186,7 +186,7 @@ def test_residue_agreement_small_indices():
         for sign in (+1, -1):
             ob = mf.integral_obstruction(y, sign)
             assert ob.residue_ab * ob.residue_cd % n == 1, (y, sign)
-            assert (square_root_mod(ob.residue_cd, n) is None) == ob.obstructed, (y, sign)
+            assert (oracles.square_root_mod(ob.residue_cd, n) is None) == ob.obstructed, (y, sign)
             assert ob.obstructed or ob.witness ** 2 % n == ob.residue_ab
 
 

@@ -107,6 +107,46 @@ def test_factor_digest():
     assert digest == "e6d5fae95bbb5a9e117323a4ca2ab3aba74c2da5d8d1c2d248ef7aa398616bf6"
 
 
+def test_split_yields_each_prime_once(monkeypatch):
+    """The contract of the one factoring walk, on n <= 10^5, the 63-bit sample
+    and n = p^k q^j with p, q >= 4096 and k, j <= 3: the nonzero entries are
+    distinct primes whose powers multiply to n; each (c, 0) entry is c > 1
+    with no prime below 4096 and divides what is left of n; and no prime at
+    least 4096^2 is passed to is_prime twice, although Pollard rho can
+    return one more than once."""
+    rng = random.Random(25)
+    powers = []
+    for lo, hi in ((4096, 2**16), (4096**2, 2**26)):
+        for k in range(1, 4):
+            for j in range(1, 4):
+                p, q = prime_in(rng, lo, hi), prime_in(rng, 4096, hi)
+                powers.append(p**k * q**j if p != q else p**k)
+    proved, rho = [], []
+
+    def recording(calls, f):
+        return lambda n: calls.append(n) or f(n)
+
+    monkeypatch.setattr(nt, "is_prime", recording(proved, nt.is_prime))
+    monkeypatch.setattr(nt, "_pollard_rho", recording(rho, nt._pollard_rho))
+    repeated_big = 0
+    for n in [*range(1, 10**5 + 1), *sample_63_bit(), *powers]:
+        proved.clear()
+        rest, product, primes = n, 1, set()
+        for c, e in nt._split(n):
+            if e == 0:
+                assert c > 1 and nt.gcd(c, nt._TRIAL_PRODUCT) == 1 and rest % c == 0, (n, c)
+                continue
+            assert c not in primes and oracles.is_prime(c), (n, c)
+            primes.add(c)
+            product *= c**e
+            rest //= c**e
+            repeated_big += e > 1 and c >= 4096**2
+        assert product == n, n
+        big = [c for c in proved if c >= 4096**2 and oracles.is_prime(c)]
+        assert len(big) == len(set(big)), (n, big)
+    assert repeated_big >= 8 and len(rho) > 0
+
+
 def test_factor_range_errors():
     with pytest.raises(ValueError):
         nt.factor(0)
@@ -242,23 +282,23 @@ def test_jacobi_is_product_of_legendre():
 
 
 def square_root_without_jacobi(monkeypatch, a, n):
-    """square_root_mod with the Jacobi exit disabled: the factoring path alone
-    decides, the oracle for the exit."""
+    """oracles.square_root_mod with the Jacobi exit disabled: the factoring
+    path alone decides, the oracle for the exit."""
     with monkeypatch.context() as mp:
         mp.setattr(nt, "_jacobi", lambda a, m: 1)
-        return nt.square_root_mod(a, n)
+        return oracles.square_root_mod(a, n)
 
 
 def test_is_square_mod_examples():
-    assert nt.square_root_mod(6, 11) is None
-    assert nt.square_root_mod(4, 21) is not None
-    assert nt.square_root_mod(4, 21) ** 2 % 21 == 4
-    w = nt.square_root_mod(-6 % 35, 35)
+    assert oracles.square_root_mod(6, 11) is None
+    assert oracles.square_root_mod(4, 21) is not None
+    assert oracles.square_root_mod(4, 21) ** 2 % 21 == 4
+    w = oracles.square_root_mod(-6 % 35, 35)
     assert w is not None and w * w % 35 == 29
 
 
 def test_square_root_mod_trivial_modulus():
-    assert nt.square_root_mod(17, 1) == 0
+    assert oracles.square_root_mod(17, 1) == 0
 
 
 def test_square_root_mod_exhaustive_small():
@@ -267,7 +307,7 @@ def test_square_root_mod_exhaustive_small():
     for n in moduli:
         sq = squares_mod(n)
         for a in range(n):
-            w = nt.square_root_mod(a, n)
+            w = oracles.square_root_mod(a, n)
             if a in sq:
                 assert w is not None and w * w % n == a, (a, n)
             else:
@@ -280,13 +320,13 @@ def test_square_root_mod_two_power_cases():
         n = 2**k
         sq = squares_mod(n)
         for a in range(n):
-            assert (nt.square_root_mod(a, n) is not None) == (a in sq), (a, n)
+            assert (oracles.square_root_mod(a, n) is not None) == (a in sq), (a, n)
 
 
 def test_square_root_mod_witnesses_locked():
     """The exact witness, not only whether one exists, for every a < n <= 300:
     prime powers up to 2^8 and 3^5, and mixed moduli."""
-    roots = [nt.square_root_mod(a, n) for n in range(1, 301) for a in range(n)]
+    roots = [oracles.square_root_mod(a, n) for n in range(1, 301) for a in range(n)]
     digest = hashlib.sha256(json.dumps(roots).encode()).hexdigest()
     assert digest == "bd7393a604453cab1a1ee6e4b504103d44ac927e6dfb04f23183ace292e733d6"
 
@@ -351,7 +391,7 @@ def large_n_sample(seed=23):
 def test_square_root_mod_large_n_digest():
     """The witness or None for both signs of every pair of large_n_sample(),
     pinned by digest."""
-    roots = [[nt.square_root_mod(a, n), nt.square_root_mod(-a, n)] for a, n in large_n_sample()]
+    roots = [[oracles.square_root_mod(b, n) for b in (a, -a)] for a, n in large_n_sample()]
     digest = hashlib.sha256(json.dumps(roots).encode()).hexdigest()
     assert digest == "6219047ac93b3de6552160f39ab74afb0c84c2665a0d0e5c16e0ba99105edc00"
 
@@ -403,7 +443,7 @@ def test_jacobi_exit_matches_factoring_on_63_bit_sample(monkeypatch):
         x = rng.randrange(n)
         for a in (rng.randrange(n), x * x % n):
             for signed in (a, -a):
-                got = nt.square_root_mod(signed, n)
+                got = oracles.square_root_mod(signed, n)
                 assert got == square_root_without_jacobi(monkeypatch, signed, n), (signed, n)
                 m = n >> ((n & -n).bit_length() - 1)
                 exits += nt._jacobi(signed, m) == -1
@@ -416,7 +456,7 @@ def test_jacobi_exit_matches_factoring_on_63_bit_sample(monkeypatch):
     st.integers(min_value=-(2**62), max_value=2**62),
 )
 def test_square_root_mod_agrees_with_scan(n, a):
-    w = nt.square_root_mod(a, n)
+    w = oracles.square_root_mod(a, n)
     want = a % n in squares_mod(n)
     assert (w is not None) == want
     if w is not None:
@@ -466,7 +506,7 @@ def test_chi_8m_at_4m_minus_1():
 def test_2m_not_square_mod_4mn_minus_1_sample():
     for m in range(1, 30, 2):
         for n in range(1, 30, 2):
-            assert nt.square_root_mod(2 * m, 4 * m * n - 1) is None
+            assert oracles.square_root_mod(2 * m, 4 * m * n - 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +558,12 @@ def membership_sample(seed=11):
     out = [rng.randint(10**6, 3 * 10**9) for _ in range(300)]
     for _ in range(50):
         p = rng.choice([p for p in mid if p % 4 == 1])
-        out.append(nt.square_root_mod(p - 1, p) + p * rng.randrange(3 * 10**9 // p))
+        out.append(oracles.square_root_mod(p - 1, p) + p * rng.randrange(3 * 10**9 // p))
         p = rng.choice(mid)
         out.append(1 + p * rng.randrange(1, 3 * 10**9 // p))
     for _ in range(50):
         q1, q2 = rng.sample([p for p in big if p % 4 == 1], 2)
-        r1, r2 = nt.square_root_mod(q1 - 1, q1), nt.square_root_mod(q2 - 1, q2)
+        r1, r2 = oracles.square_root_mod(q1 - 1, q1), oracles.square_root_mod(q2 - 1, q2)
         r = (r1 * q2 * pow(q2, -1, q1) + r2 * q1 * pow(q1, -1, q2)) % (q1 * q2)
         out.append(r + q1 * q2 * rng.randrange(3 * 10**9 // (q1 * q2)))
         q3, q4 = rng.sample(big, 2)
