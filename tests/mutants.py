@@ -41,6 +41,7 @@ T_NT = "tests/test_numtheory.py::"
 T_MF = "tests/test_manifolds.py::"
 T_LA = "tests/test_lattice.py::"
 T_GO = "tests/test_goeritz.py::"
+T_PK = "tests/test_package.py::"
 
 MUTANTS = (
     # Tonelli-Shanks and Euler's criterion
@@ -123,9 +124,18 @@ MUTANTS = (
            "from . import lattice, manifolds, numtheory, repvar\n",
            "import logging\nfrom . import lattice, manifolds, numtheory, repvar\n",
            ("tests/test_cli.py::test_import_cli_leaves_logging_out",)),
+    # the package loads each layer on first use
+    Mutant("package-imports-a-layer-at-import", "__init__.py",
+           "import importlib\n", "import importlib\n\nfrom . import manifolds\n",
+           (T_PK + "test_a_name_loads_only_its_layer[import-obstruct]",)),
+    Mutant("package-unknown-name-is-None", "__init__.py",
+           "        raise AttributeError(", "        return None\n        raise AttributeError(",
+           (T_PK + "test_unknown_name_raises_attribute_error",)),
     # Equivalent mutants, which no test can kill:
     # - `p * p >= g` for `p * p > g` in _split: g is squarefree, so never p^2;
-    # - _split without its (c, 0) entries: they only let a caller stop early.
+    # - _split without its (c, 0) entries: they only let a caller stop early;
+    # - the package's __getattr__ without `globals()[name] = value`: the
+    #   binding only spares later reads a call.
 )
 
 

@@ -281,14 +281,6 @@ def test_jacobi_is_product_of_legendre():
 # modular square roots
 
 
-def square_root_without_jacobi(monkeypatch, a, n):
-    """oracles.square_root_mod with the Jacobi exit disabled: the factoring
-    path alone decides, the oracle for the exit."""
-    with monkeypatch.context() as mp:
-        mp.setattr(nt, "_jacobi", lambda a, m: 1)
-        return oracles.square_root_mod(a, n)
-
-
 def test_is_square_mod_examples():
     assert oracles.square_root_mod(6, 11) is None
     assert oracles.square_root_mod(4, 21) is not None
@@ -312,15 +304,6 @@ def test_square_root_mod_exhaustive_small():
                 assert w is not None and w * w % n == a, (a, n)
             else:
                 assert w is None, (a, n)
-
-
-def test_square_root_mod_two_power_cases():
-    # odd a: square mod 2 always, mod 4 iff 1 mod 4, mod 2^k (k>=3) iff 1 mod 8
-    for k in range(1, 10):
-        n = 2**k
-        sq = squares_mod(n)
-        for a in range(n):
-            assert (oracles.square_root_mod(a, n) is not None) == (a in sq), (a, n)
 
 
 def test_square_root_mod_witnesses_locked():
@@ -398,10 +381,15 @@ def test_square_root_mod_large_n_digest():
 
 def test_square_roots_mod_match_factoring_oracle():
     """Both signs of each pair of large_n_sample() in one call: residue by
-    residue, the witness or None of the factor-then-CRT oracle."""
+    residue, the witness or None of the factor-then-CRT oracle, which has no
+    Jacobi exit; the sample fires that exit often."""
+    exits = 0
     for a, n in large_n_sample():
         want = [oracles.square_root_mod_by_factoring(b, n) for b in (a, -a)]
         assert nt._square_roots_mod((a, -a), n) == want, (a, n)
+        m = n >> ((n & -n).bit_length() - 1)
+        exits += sum(nt._jacobi(b, m) == -1 for b in (a, -a))
+    assert exits > 100
 
 
 @settings(max_examples=200, deadline=None)
@@ -432,22 +420,6 @@ def test_sqrt_mod_prime_on_63_bit_primes():
                 assert r * r % p == a, (a, p)
                 if s == 1:
                     assert r == pow(a, (p + 1) // 4, p), (a, p)
-
-
-def test_jacobi_exit_matches_factoring_on_63_bit_sample(monkeypatch):
-    """On each n of the 63-bit sample, a random residue and a square, each with
-    both signs: the same witness or None with and without the Jacobi exit."""
-    rng = random.Random(19)
-    exits = 0
-    for n in sample_63_bit():
-        x = rng.randrange(n)
-        for a in (rng.randrange(n), x * x % n):
-            for signed in (a, -a):
-                got = oracles.square_root_mod(signed, n)
-                assert got == square_root_without_jacobi(monkeypatch, signed, n), (signed, n)
-                m = n >> ((n & -n).bit_length() - 1)
-                exits += nt._jacobi(signed, m) == -1
-    assert exits > 100
 
 
 @settings(max_examples=300, deadline=None)
