@@ -55,8 +55,15 @@ MAX_DENSITY_LIMIT = 10**8
 MAX_RESIDUE_K = 10**4
 _FIRST_PRIME_LIMIT = 64
 
-# Segment length of the prime sieve and of the Sprime count, in bytes.
+# Segment length of the prime sieve and of the chunked clears, in bytes.
 _SEGMENT = 1 << 20
+
+# The Sprime count compares its two rows this many bytes at a time.  Each
+# comparison builds three integers of about this size.  Below glibc's 64 KiB
+# trim check they come back from the allocator's free lists; integers the
+# size of a whole row grow and trim the heap on every call in some
+# processes, depending on its layout, at 20 to 95 fresh pages a call.
+_ROW_CHUNK = 1 << 14
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -529,16 +536,21 @@ def _count_sprime(limit: int) -> int:
     """|{2..limit} intersect Sprime|.
 
     ``good[m]`` is 1 when no prime 3 mod 4 divides m (0 <= m <= limit + 1);
-    n counts when good[n - 1] or good[n + 1].  The two rows are compared a
-    segment at a time, as the bits of two integers.
+    n counts when good[n - 1] or good[n + 1].  A prime above half of
+    limit + 1 is its own only multiple in range.  The two rows are compared
+    ``_ROW_CHUNK`` bytes at a time, as the bits of two integers.
     """
     good = bytearray([1]) * (limit + 2)
+    half = (limit + 1) // 2
     for p in _primes_upto(limit + 1, 3, 4):
-        _clear(good, p, p)
+        if p > half:
+            good[p] = 0
+        else:
+            _clear(good, p, p)
     count = 0
     with memoryview(good) as view:
-        for lo in range(1, limit, _SEGMENT):  # lo = n - 1
-            hi = min(lo + _SEGMENT, limit)
+        for lo in range(1, limit, _ROW_CHUNK):  # lo = n - 1
+            hi = min(lo + _ROW_CHUNK, limit)
             below = int.from_bytes(view[lo:hi], "little")
             above = int.from_bytes(view[lo + 2 : hi + 2], "little")
             count += (below | above).bit_count()
