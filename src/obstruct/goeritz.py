@@ -53,8 +53,8 @@ def goeritz_matrix(graph: CheckerboardGraph) -> GramMatrix:
     crossings between v_i and v_j.
 
     Raises ValueError unless the graph is connected, decided by whether G is
-    negative definite: -G is the weighted Laplacian with the basepoint's row
-    and column deleted.  The Laplacian's form is the sum over edges of
+    negative definite, which GramMatrix checks where it is built: -G is the
+    weighted Laplacian with the basepoint's row and column deleted.  The Laplacian's form is the sum over edges of
     crossings * (x_u - x_v)^2 >= 0, so -G is positive semidefinite, and by
     Kirchhoff's matrix-tree theorem det(-G) is the number of spanning trees
     weighted by the product of their crossings, which is positive exactly
@@ -68,15 +68,14 @@ def goeritz_matrix(graph: CheckerboardGraph) -> GramMatrix:
             rows[u - 1][u - 1] -= crossings
             rows[u - 1][v - 1] += crossings
             rows[v - 1][u - 1] += crossings
-    gram = GramMatrix.from_rows(rows)
-    if not gram.is_negative_definite():
-        raise ValueError("checkerboard graph must be connected")
-    return gram
+    try:
+        return GramMatrix.from_rows(rows)
+    except ValueError:
+        raise ValueError("checkerboard graph must be connected") from None
 
 
 def det_h1_order(gram: GramMatrix) -> int:
-    """|det G|, the order of the homology group the matrix presents.  Raises
-    ValueError unless G is negative definite."""
+    """|det G|, the order of the homology group the matrix presents."""
     return abs(gram.determinant())
 
 

@@ -12,10 +12,10 @@ Sign convention: the lattice pairing is <x, y> = -sum(x_i * y_i).  We store
 the positive-definite negation internally and only negate at the API
 boundary, which keeps the search free of sign errors.
 
-All integer linear algebra is one fraction-free Bareiss elimination of -G
-without pivoting; its pivots, the leading principal minors of -G, decide
-definiteness and give the determinant.  Only negative-definite forms need a
-determinant, so pivoting is never needed.  No floating point is used anywhere.
+A GramMatrix is negative definite by construction: its constructor runs a
+fraction-free Bareiss elimination of -G without pivoting and needs every
+pivot, a leading principal minor of -G, to be positive; no code checks
+again.  The same elimination gives the determinant.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ MAX_CHANGEMAKER_LENGTH = 512
 
 
 class GramMatrix(Record):
-    """A symmetric integer matrix, usually negative definite."""
+    """A symmetric, negative definite integer matrix: the constructor raises
+    ResourceCapExceeded for a rank above ``MAX_CHANGEMAKER_LENGTH - 1``,
+    before any elimination, and ValueError for any other matrix."""
 
     __slots__ = ("entries",)
 
@@ -47,6 +49,9 @@ class GramMatrix(Record):
             for j in range(i):
                 if entries[i][j] != entries[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        _check_length(n + 1)
+        if _positive_elimination(entries) is None:
+            raise ValueError("Gram matrix must be negative definite")
         self._set(entries)
 
     @staticmethod
@@ -58,27 +63,25 @@ class GramMatrix(Record):
         return len(self.entries)
 
     def determinant(self) -> int:
-        """det G = (-1)^n det(-G); ValueError unless G is negative definite."""
-        u = _positive_elimination(self)
-        if u is None:
-            raise ValueError("Gram matrix must be negative definite")
+        """det G = (-1)^n det(-G)."""
+        u = _positive_elimination(self.entries)
         return (-1) ** self.rank * (u[-1][-1] if u else 1)
 
     def is_negative_definite(self) -> bool:
-        """(-1)^k times the k-th leading principal minor is positive for all k."""
-        return _positive_elimination(self) is not None
+        """True: the constructor refuses every other matrix."""
+        return True
 
 
-def _positive_elimination(gram: GramMatrix) -> list[list[int]] | None:
-    """Bareiss elimination of -G without pivoting, or None if -G is not
-    positive definite.
+def _positive_elimination(entries: tuple[tuple[int, ...], ...]) -> list[list[int]] | None:
+    """Bareiss elimination of -G, given G's rows, without pivoting, or None
+    if -G is not positive definite.
 
     Row k of the result holds, for j >= k, the minor of -G on rows 0..k and
     columns 0..k-1, j; so entry (k, k) is the (k+1)-th leading principal
     minor, and by Sylvester's criterion -G is positive definite exactly when
     each of these pivots is positive.
     """
-    a = [[-x for x in row] for row in gram.entries]
+    a = [[-x for x in row] for row in entries]
     n = len(a)
     prev = 1
     for k in range(n):
@@ -275,21 +278,13 @@ class Embedding(Record):
     def __init__(self, sigma: Changemaker, vectors: tuple[tuple[int, ...], ...]) -> None:
         self._set(sigma, vectors)
 
-    def gram(self) -> GramMatrix:
-        return GramMatrix.from_rows(
-            [
-                [-sum(a * b for a, b in zip(u, v)) for v in self.vectors]
-                for u in self.vectors
-            ]
-        )
-
     def verifies(self, gram: GramMatrix) -> bool:
         """Exact check: Gram reproduction, sigma-orthogonality, full rank.
 
         Given the first two, the v_i and sigma (length n + 1) have full rank
-        iff G is negative definite and sigma != 0: -G = V V^T is semidefinite,
-        so it is definite iff nonsingular iff the v_i are independent, and a
-        nonzero sigma orthogonal to every v_i lies outside their span."""
+        iff sigma != 0: -G = V V^T is definite, as every GramMatrix is, so the
+        v_i are independent, and a nonzero sigma orthogonal to every v_i lies
+        outside their span."""
         s = self.sigma.entries
         if len(s) != gram.rank + 1 or len(self.vectors) != gram.rank or any(
             len(v) != len(s) for v in self.vectors
@@ -297,9 +292,9 @@ class Embedding(Record):
             return False
         if any(sum(a * b for a, b in zip(v, s)) != 0 for v in self.vectors):
             return False
-        if self.gram() != gram:
-            return False
-        return gram.is_negative_definite() and any(s)
+        rows = tuple(tuple(-sum(a * b for a, b in zip(u, v)) for v in self.vectors)
+                     for u in self.vectors)
+        return rows == gram.entries and any(s)
 
 
 class _SearchFacts(NamedTuple):
@@ -315,10 +310,8 @@ class _SearchFacts(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _search_facts(gram: GramMatrix) -> _SearchFacts:
-    """The facts about `gram`; ValueError unless it is negative definite."""
-    u = _positive_elimination(gram)
-    if u is None:
-        raise ValueError("Gram matrix must be negative definite")
+    """The facts about `gram`."""
+    u = _positive_elimination(gram.entries)
     n = gram.rank
     gp = tuple(tuple(-x for x in row) for row in gram.entries)
     return _SearchFacts(
@@ -481,7 +474,7 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     d = gram.rank + 1
     if len(sigma) != d:
         raise ValueError(f"sigma must have length {d}, got {len(sigma)}")
-    facts = _search_facts(gram)  # ValueError unless gram is negative definite
+    facts = _search_facts(gram)
     if sigma.norm == 0:
         return None  # the zero vector spans nothing; full rank is impossible
     fits = _index_fit(facts.det, sigma.norm)
@@ -616,8 +609,8 @@ def changemaker_obstruction(
     admitting changemaker; used for uniqueness checks).
 
     No changemaker of length rank+1 has a norm p above
-    ``changemaker_max_norm(rank + 1)``, so a negative definite G is then
-    ``obstructed`` before its Gram facts are computed.
+    ``changemaker_max_norm(rank + 1)``, so G is then ``obstructed`` at once,
+    with no elimination.
     Every changemaker searched has norm p, so the index k of an embedding,
     |det G| = k^2 p, is decided once per query (``_index_fit``): when no k
     exists the result is ``obstructed`` before any changemaker is
@@ -630,16 +623,15 @@ def changemaker_obstruction(
     later sigma must pass the norm-4 counts too.  That count can take over
     ten times as long as the norm <= 3 counts (the rank-30 form -I has 438,540
     vectors of norm 4), which a query whose first search succeeds never pays.
-    The facts about G are computed once, not once per changemaker.  A rank + 1
-    above ``MAX_CHANGEMAKER_LENGTH`` raises ResourceCapExceeded, and p < 1
-    raises ValueError, both before any work.
+    The facts about G are computed once, not once per changemaker.  p < 1
+    raises ValueError before any work; G's rank was capped, and its
+    definiteness proved, when G was built.
     """
-    _check_length(gram.rank + 1)
     if p < 1:
         raise ValueError(f"norm p must be positive, got {p}")
-    if p > changemaker_max_norm(gram.rank + 1) and gram.is_negative_definite():
+    if p > changemaker_max_norm(gram.rank + 1):
         return ObstructionResult("obstructed", ())
-    facts = _search_facts(gram)  # ValueError unless gram is negative definite
+    facts = _search_facts(gram)
     fits = _index_fit(facts.det, p)
     if fits is None:
         return ObstructionResult("obstructed", ())
@@ -666,7 +658,8 @@ def parse_gram_text(text: str) -> GramMatrix:
     """Parse the shared Gram matrix text format.
 
     Line 1 is the rank n; the next n lines hold n space-separated integers.
-    '#' begins a comment line; blank lines are ignored.
+    '#' begins a comment line; blank lines are ignored.  A matrix that is
+    not negative definite is refused here, as GramMatrix refuses it.
     """
     lines = [
         ln.strip()

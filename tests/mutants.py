@@ -107,9 +107,18 @@ MUTANTS = (
            (T_LA + "test_enumeration_examples",
             T_LA + "test_enumeration_matches_brute_force")),
     Mutant("norm-bound-obstructs-at-the-bound", LA,
-           "if p > changemaker_max_norm(gram.rank + 1) and",
-           "if p >= changemaker_max_norm(gram.rank + 1) and",
+           "if p > changemaker_max_norm(gram.rank + 1):",
+           "if p >= changemaker_max_norm(gram.rank + 1):",
            (T_LA + "test_max_norm_bound_attained",)),
+    # a GramMatrix is checked where it is built, and only there
+    Mutant("gram-accepts-indefinite", LA,
+           "        if _positive_elimination(entries) is None:\n"
+           "            raise ValueError(\"Gram matrix must be negative definite\")\n",
+           "",
+           (T_LA + "test_negative_definite", T_GO + "test_graph_validation")),
+    Mutant("gram-without-rank-cap", LA,
+           "        _check_length(n + 1)\n", "",
+           (T_LA + "test_obstruction_length_cap",)),
     # goeritz, manifolds, cli
     Mutant("goeritz-off-diagonal-without-weight", "goeritz.py",
            "            rows[u - 1][v - 1] += crossings\n"

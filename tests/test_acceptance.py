@@ -41,7 +41,6 @@ def test_acceptance_02_embedding_and_uniqueness():
         emb is not None
         and emb.verifies(oracles.GD)
         and printed.verifies(oracles.GD)
-        and printed.gram() == oracles.GD
         and unique == [(1, 2, 2, 4, 4, 8, 11)]
     )
     report(2, ok, "rank-6 form embeds for sigma=(1,2,2,4,4,8,11), uniquely")

@@ -120,6 +120,7 @@ def test_changemaker_embed_bad_matrix(tmp_path):
     gram.write_text("1\n1\n")  # positive definite
     proc = run_cli("changemaker", "embed", "--gram", str(gram), "--p", "5")
     assert proc.returncode == 2
+    assert "negative definite" in proc.stderr
     proc = run_cli("changemaker", "embed", "--gram", str(tmp_path / "nope.txt"), "--p", "5")
     assert proc.returncode == 2
 
@@ -314,6 +315,18 @@ def test_changemaker_length_cap_exit_3(capsys):
     assert cli.main(["changemaker", "enum", "--len", "512", "--norm", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["count"] == 1
     assert cli.main(["changemaker", "enum", "--len", "513", "--norm", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource cap: ") and "MAX_CHANGEMAKER_LENGTH = 512" in err
+
+
+def test_changemaker_embed_rank_cap_exit_3(tmp_path, capsys):
+    top = 512  # changemakers of length 513
+    gram = tmp_path / "diagonal.txt"
+    gram.write_text(f"{top}\n" + "".join(
+        " ".join("-1" if i == j else "0" for j in range(top)) + "\n" for i in range(top)
+    ))
+    assert cli.main(["changemaker", "embed", "--gram", str(gram), "--p", "1"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("resource cap: ") and "MAX_CHANGEMAKER_LENGTH = 512" in err

@@ -42,7 +42,7 @@ def test_determinant_against_permutation_expansion():
         assert gram.determinant() == permutation_det(gram.entries), gram
     for rows in ([[0]], [[1]]):
         with pytest.raises(ValueError, match="negative definite"):
-            la.GramMatrix.from_rows(rows).determinant()
+            la.GramMatrix.from_rows(rows)
 
 
 def test_gram_matrix_validation():
@@ -55,9 +55,29 @@ def test_gram_matrix_validation():
 def test_negative_definite():
     assert GD.is_negative_definite()
     assert go.family_2odd_2odd(1, 1).is_negative_definite()
-    assert not la.GramMatrix.from_rows([[1]]).is_negative_definite()
-    assert not la.GramMatrix.from_rows([[-1, 2], [2, -1]]).is_negative_definite()
-    assert not la.GramMatrix.from_rows([[-1, 1], [1, -1]]).is_negative_definite()
+    for rows in ([[0]], [[1]], [[-1, 2], [2, -1]], [[-1, 1], [1, -1]]):
+        with pytest.raises(ValueError, match="Gram matrix must be negative definite"):
+            la.GramMatrix.from_rows(rows)
+
+
+def no_elimination(entries):
+    raise AssertionError("Bareiss elimination run")
+
+
+def test_query_past_norm_bound_eliminates_nothing(monkeypatch):
+    """A form is eliminated once, where it is built.  Length 6 allows norm
+    <= 1365 < |det| = 1443, so the query is obstructed with no elimination."""
+    calls = []
+    elimination = la._positive_elimination
+    monkeypatch.setattr(la, "_positive_elimination", lambda e: calls.append(e) or elimination(e))
+    gram = go.family_2odd_2odd(9, 9)
+    assert la.changemaker_obstruction(gram, 1443).obstructed
+    assert calls == [gram.entries]
+
+
+def test_verifies_eliminates_nothing(monkeypatch):
+    monkeypatch.setattr(la, "_positive_elimination", no_elimination)
+    assert la.Embedding(SIGMA_226, BASIS_226).verifies(GD)
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +144,13 @@ def test_norm_above_doubling_bound_returns_at_once(monkeypatch):
 
 
 def test_obstruction_length_cap(monkeypatch):
-    """Rank 512 needs length 513, refused before _search_facts (here None) runs."""
-    monkeypatch.setattr(la, "_search_facts", None)
+    """Rank 512 needs length 513: the form is refused where it is built,
+    before any elimination."""
+    monkeypatch.setattr(la, "_positive_elimination", no_elimination)
     top = la.MAX_CHANGEMAKER_LENGTH
-    diagonal = la.GramMatrix.from_rows([[-int(i == j) for j in range(top)] for i in range(top)])
+    rows = [[-int(i == j) for j in range(top)] for i in range(top)]
     with pytest.raises(ResourceCapExceeded, match="length 513 exceeds MAX_CHANGEMAKER_LENGTH"):
-        la.changemaker_obstruction(diagonal, 1)
+        la.GramMatrix.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +194,6 @@ def test_rank_30_search_stays_within_recursion_limit(monkeypatch):
 def test_known_basis_verifies_bit_exactly():
     emb = la.Embedding(SIGMA_226, BASIS_226)
     assert emb.verifies(GD)
-    assert emb.gram() == GD
     for v in BASIS_226:
         assert sum(a * b for a, b in zip(v, SIGMA_226.entries)) == 0
 
@@ -189,9 +209,6 @@ def test_verifies_rejects_bad_embeddings():
     # the right Gram and orthogonality, but sigma = 0 spans nothing
     minus_one = la.GramMatrix.from_rows([[-1]])
     assert not la.Embedding(la.Changemaker((0, 0)), ((1, 0),)).verifies(minus_one)
-    # a singular Gram matrix: the zero vector is orthogonal to sigma
-    zero = la.GramMatrix.from_rows([[0]])
-    assert not la.Embedding(la.Changemaker((0, 1)), ((0, 0),)).verifies(zero)
     # sigma and the vectors must have length rank + 1
     assert not la.Embedding(la.Changemaker((0, 0, 1)), ((1, 0, 0),)).verifies(minus_one)
 
@@ -279,15 +296,16 @@ def random_negative_definite(rng, n, diag_cap=6):
     """-B^T B for a random unimodular-ish integer B; retried until definite."""
     while True:
         b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        g = la.GramMatrix.from_rows(
-            [
-                [-sum(b[r][i] * b[r][j] for r in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        if g.is_negative_definite() and all(
-            -g.entries[i][i] <= diag_cap for i in range(n)
-        ):
+        try:
+            g = la.GramMatrix.from_rows(
+                [
+                    [-sum(b[r][i] * b[r][j] for r in range(n)) for j in range(n)]
+                    for i in range(n)
+                ]
+            )
+        except ValueError:  # B is singular
+            continue
+        if all(-g.entries[i][i] <= diag_cap for i in range(n)):
             return g
 
 
