@@ -20,14 +20,16 @@ again.  The same elimination gives the determinant.  No floating point is used.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import eq, le
 from typing import Callable, Iterator, NamedTuple
 
 from ._record import Record
-from .numtheory import ResourceCapExceeded
+from .numtheory import (
+    MAX_INPUT, ResourceCapExceeded, _split, _sqrt_mod_prime_power, _square_roots_mod,
+)
 
 # _changemakers nests one generator frame per entry but the last two, so
 # length - 2 frames; Python's default recursion limit is 1000
@@ -81,7 +83,11 @@ def _positive_elimination(entries: tuple[tuple[int, ...], ...]) -> list[list[int
     minor, and by Sylvester's criterion -G is positive definite exactly when
     each of these pivots is positive.
     """
-    a = [[-x for x in row] for row in entries]
+    return _bareiss([[-x for x in row] for row in entries])
+
+
+def _bareiss(a: list[list[int]]) -> list[list[int]] | None:
+    """``_positive_elimination`` of the matrix a itself, in place."""
     n = len(a)
     prev = 1
     for k in range(n):
@@ -304,8 +310,7 @@ class _SearchFacts(NamedTuple):
     positive: tuple[tuple[int, ...], ...]  # the positive-definite form -G
     order: tuple[int, ...]  # fill order: by diagonal entry, then by index
     det: int  # |det G|
-    short: tuple[int, ...]  # numbers of vectors of norm 1, 2 and 3
-    elimination: list[list[int]]  # the Bareiss rows of -G, for _vector_counts
+    elimination: list[list[int]]  # the Bareiss rows of -G
 
 
 @lru_cache(maxsize=64)
@@ -318,9 +323,45 @@ def _search_facts(gram: GramMatrix) -> _SearchFacts:
         positive=gp,
         order=tuple(sorted(range(n), key=lambda i: (gp[i][i], i))),
         det=u[-1][-1] if n else 1,
-        short=tuple(_vector_counts(u, 3)[1:]),
         elimination=u,
     )
+
+
+@lru_cache(maxsize=64)
+def _short_counts(gram: GramMatrix) -> tuple[int, ...]:
+    """Numbers of vectors of norm 1, 2 and 3 of L = (Z^n, -G), counted once
+    per matrix: ``embed_in_complement`` asks for them once per sigma."""
+    return tuple(_vector_counts(_search_facts(gram).elimination, 3)[1:])
+
+
+def _linking_form_admits(facts: _SearchFacts) -> bool:
+    """False only if L's discriminant form proves that L = (Z^n, G) is not
+    the complement of any vector of norm p = |det G| in -Z^(n+1); see
+    ``changemaker_obstruction`` for the proof.  A p past numtheory's 64-bit
+    range passes untested."""
+    p, gp = facts.det, facts.positive
+    n = len(gp)
+    if p > MAX_INPUT:
+        return True
+    m = facts.elimination[-2][-2] if n > 1 else 1
+    if gcd(m, p) == 1:
+        return _square_roots_mod((-m,), p)[0] is not None
+
+    @cache
+    def cofactor(i: int) -> int:
+        """c_i, the last pivot of -G without row and column i."""
+        if i == n - 1:
+            return m
+        keep = [j for j in range(n) if j != i]
+        return _bareiss([[gp[r][k] for k in keep] for r in keep])[-1][-1]
+
+    for q, e in _split(p):
+        if e == 0:
+            continue  # a cofactor of p, yielded before it is proved or split
+        c = next((c for c in map(cofactor, range(n - 1, -1, -1)) if c % q), None)
+        if c is None or _sqrt_mod_prime_power(-c, q, e) is None:
+            return False
+    return True
 
 
 def _vector_counts(u: list[list[int]], top: int) -> list[int]:
@@ -436,18 +477,18 @@ def _index_fit(det: int, norm: int) -> Callable[[int, int], bool] | None:
 
 
 def _counts_admit(
-    facts: _SearchFacts, sigma: Changemaker, fits: Callable[[int, int], bool],
+    short: tuple[int, ...], sigma: Changemaker, fits: Callable[[int, int], bool],
     norm4: int | None = None,
 ) -> bool:
     """Necessary condition for L = (Z^n, -G) to embed in sigma's complement,
-    given ``fits = _index_fit(facts.det, sigma.norm)``, which the caller
+    given ``fits = _index_fit(|det G|, sigma.norm)``, which the caller
     decides once per query and which is not None: L's numbers of vectors of
-    norm 1 to 3, and of norm 4 when L's norm-4 count `norm4` is given, must
-    fit those of the complement.  The norm-4 count is asked for only when
-    norms 1 to 3 fit: most sigma fail at norm 3, and their norm-4 closed
-    form would cost about as much again.
+    norm 1 to 3, `short`, and of norm 4 when L's norm-4 count `norm4` is
+    given, must fit those of the complement.  The norm-4 count is asked for
+    only when norms 1 to 3 fit: most sigma fail at norm 3, and their norm-4
+    closed form would cost about as much again.
     """
-    if not all(map(fits, facts.short, _complement_short_counts(sigma.entries))):
+    if not all(map(fits, short, _complement_short_counts(sigma.entries))):
         return False
     return norm4 is None or fits(norm4, _complement_short_counts(sigma.entries, 4)[3])
 
@@ -466,6 +507,8 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     such rejection is itself a proof.  At index 1 (|det G| = |sigma|^2) the
     counts must be equal.  Norm 4 is left out: for one sigma, L's norm-4
     count can cost more than a search (see ``changemaker_obstruction``).
+    The linking form is not tested here, so this search stays the slow path
+    that ``changemaker_obstruction``'s linking-form test is checked against.
     Vectors are filled in increasing order of the Gram diagonal; coordinates
     are processed from the largest sigma entry down; candidate values run
     from high to low, so the embedding returned is canonical and
@@ -478,7 +521,7 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     if sigma.norm == 0:
         return None  # the zero vector spans nothing; full rank is impossible
     fits = _index_fit(facts.det, sigma.norm)
-    if fits is None or not _counts_admit(facts, sigma, fits):
+    if fits is None or not _counts_admit(_short_counts(gram), sigma, fits):
         return None
     return _first_embedding(gram, facts, sigma)
 
@@ -614,11 +657,38 @@ def changemaker_obstruction(
     Every changemaker searched has norm p, so the index k of an embedding,
     |det G| = k^2 p, is decided once per query (``_index_fit``): when no k
     exists the result is ``obstructed`` before any changemaker is
-    enumerated.  When |det G| = p, an embedding would have index 1, so L
-    would be isometric to sigma's complement and have exactly its numbers of
-    norm-1 and norm-2 vectors; the enumeration then skips every sigma without
-    them (see ``_changemakers``).  Otherwise every changemaker is enumerated,
-    and each meets the count conditions of ``embed_in_complement``.
+    enumerated.
+
+    When |det G| = p, an embedding would have index 1, so L = (Z^n, G)
+    would be isometric to sigma's complement, and the linking form decides
+    first (``_linking_form_admits``).  Proof: sigma is primitive (it has an
+    entry 1) in the unimodular lattice -Z^(n+1), so the discriminant form of
+    its complement is minus that of Z sigma (Nikulin, "Integral symmetric
+    bilinear forms and some of their applications", 1979); as sigma / p
+    pairs with itself to -1/p, it is cyclic of order p, generated by a class
+    g with b(g, g) = 1/p mod 1.  L* = G^-1 Z^n, so the x_i = G^-1 e_i
+    generate L*/L, and b(x_i, x_i) = (G^-1)_ii = -c_i / p, with c_i the i-th
+    diagonal cofactor of -G.  Take q^e || p.  The q-part of L*/L is then
+    cyclic, generated by h = (p/q^e) g with b(h, h) = (p/q^e) / q^e, so each
+    y_i = (p/q^e) x_i is some k_i h, and as the y_i generate the q-part,
+    some k_i is prime to q.  Comparing b(y_i, y_i) = -(p/q^e) c_i / q^e with
+    k_i^2 b(h, h), as p/q^e is a unit mod q: -c_i = k_i^2 mod q^e.  So q
+    divides c_i exactly when it divides k_i: some c_i is prime to q, and
+    -c_i is a square mod q^e for each such i; if either fails, the result
+    is ``obstructed``, a proof.  The test takes the first such c_i in the
+    order c_(n-1), c_(n-2), ..., c_0.
+    c_(n-1) = m is the (n-1)-th leading principal minor, a pivot of the
+    elimination already made; when gcd(m, p) = 1 the tests join, by the
+    CRT, into "-m is a square mod p", which ``_square_roots_mod`` decides,
+    usually by its Jacobi exit before p is factored.  Any other c_i is the
+    last pivot of -G without row and column i.
+
+    Past the linking form, the norm <= 3 counts of L are taken (once per
+    matrix, ``_short_counts``).  At index 1, L would have exactly the
+    complement's numbers of norm-1 and norm-2 vectors, and the enumeration
+    skips every sigma without them (see ``_changemakers``).  Otherwise every
+    changemaker is enumerated, and each meets the count conditions of
+    ``embed_in_complement``.
     Once a search has failed, L's norm-4 vectors are counted, once, and
     later sigma must pass the norm-4 counts too.  That count can take over
     ten times as long as the norm <= 3 counts (the rank-30 form -I has 438,540
@@ -633,14 +703,14 @@ def changemaker_obstruction(
         return ObstructionResult("obstructed", ())
     facts = _search_facts(gram)
     fits = _index_fit(facts.det, p)
-    if fits is None:
+    if fits is None or (fits is eq and not _linking_form_admits(facts)):
         return ObstructionResult("obstructed", ())
     found = []
-    short = facts.short if fits is eq else None
+    short = _short_counts(gram)
     norm4 = None  # L's number of norm-4 vectors, counted once a search fails
-    for entries in _changemakers(gram.rank + 1, p, short):
+    for entries in _changemakers(gram.rank + 1, p, short if fits is eq else None):
         sigma = Changemaker(entries)
-        if not _counts_admit(facts, sigma, fits, norm4):
+        if not _counts_admit(short, sigma, fits, norm4):
             continue
         emb = _first_embedding(gram, facts, sigma)
         if emb is not None:

@@ -110,6 +110,18 @@ MUTANTS = (
            "if p > changemaker_max_norm(gram.rank + 1):",
            "if p >= changemaker_max_norm(gram.rank + 1):",
            (T_LA + "test_max_norm_bound_attained",)),
+    # the linking form at index 1: the sign of b(x, x) = -c / p, and an
+    # acyclic discriminant group
+    Mutant("linking-form-without-sign", LA,
+           "_square_roots_mod((-m,), p)", "_square_roots_mod((m,), p)",
+           (T_LA + "test_linking_form_is_the_residue_test",
+            T_LA + "test_every_witness_passes_the_linking_form")),
+    Mutant("linking-form-cofactor-without-sign", LA,
+           "_sqrt_mod_prime_power(-c, q, e)", "_sqrt_mod_prime_power(c, q, e)",
+           (T_LA + "test_linking_form_is_the_residue_test",)),
+    Mutant("linking-form-passes-with-no-cofactor-prime", LA,
+           "if c is None or _sqrt_mod_prime_power", "if c is not None and _sqrt_mod_prime_power",
+           (T_LA + "test_linking_form_decides_hard_forms",)),
     # a GramMatrix is checked where it is built, and only there
     Mutant("gram-accepts-indefinite", LA,
            "        if _positive_elimination(entries) is None:\n"

@@ -2,7 +2,8 @@ import hashlib
 import itertools
 import json
 import random
-from math import comb, isqrt
+from math import comb, gcd, isqrt
+from operator import eq
 
 import pytest
 from golden_cli import lattice_search_jobs
@@ -414,10 +415,13 @@ def test_complement_forms_always_embed():
 def test_obstruction_equals_embedding_of_each_sigma(monkeypatch):
     """Each builtin form, d = |det|, at p = d, d +- 1, 4 d and 9 d, and its
     sublattices of index 2 and 3 at p = d: the witnesses are those found per
-    enumerated sigma, and a query enumerates exactly when an index exists."""
+    enumerated sigma, and a query enumerates exactly when an index exists and
+    it is above 1 or the linking form passes.  The linking form decides one
+    case, fig3-black(2,2,2,2) at 99."""
     calls = []
     changemakers = la._changemakers
     monkeypatch.setattr(la, "_changemakers", lambda *a: calls.append(a) or changemakers(*a))
+    decided = []
     for gram in (GD, *(go.family_2odd_2odd(a, b) for a, b in ((1, 1), (1, 2), (2, 2)))):
         d = abs(gram.determinant())
         cases = [(gram, p) for p in (d, d - 1, d + 1, 4 * d, 9 * d)]
@@ -428,7 +432,12 @@ def test_obstruction_equals_embedding_of_each_sigma(monkeypatch):
             calls.clear()
             res = la.changemaker_obstruction(form, p, all_witnesses=True)
             assert res == la.ObstructionResult("witness" if found else "obstructed", found)
-            assert bool(calls) == (p == d), (form, p)
+            fits = la._index_fit(abs(form.determinant()), p)
+            admits = fits is not eq or la._linking_form_admits(la._search_facts(form))
+            assert bool(calls) == (fits is not None and admits), (form, p)
+            if fits is not None and not admits:
+                decided.append((form, p))
+    assert decided == [(go.family_2odd_2odd(2, 2), 99)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +501,7 @@ def test_short_counts_against_brute_force():
             if q <= 4:
                 want[q] += 1
         facts = la._search_facts(gram)
-        assert facts.short == (want[1], want[2], want[3]), gram
+        assert la._short_counts(gram) == (want[1], want[2], want[3]), gram
         assert la._vector_counts(facts.elimination, 4) == want, gram
         assert facts.det == det
 
@@ -553,8 +562,9 @@ def lattice_search_forms():
 
 def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
     """The filtered search against the slow path that tries every sigma, with
-    neither the norm <= 3 nor the norm-4 counts, on the 148 census forms and
-    the seven forms of the lattice-search benchmark (GD at 226)."""
+    neither the linking form nor the norm <= 3 nor the norm-4 counts, on the
+    148 census forms and the seven forms of the lattice-search benchmark (GD
+    at 226)."""
     cases = [
         (go.family_2odd_2odd(r.a, r.b), r.n) for r in mf.census_2odd(341)
     ]
@@ -566,7 +576,8 @@ def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
 
     filtered = search()
     every_sigma = la._changemakers
-    monkeypatch.setattr(la, "_counts_admit", lambda facts, sigma, fits, norm4=None: True)
+    monkeypatch.setattr(la, "_linking_form_admits", lambda facts: True)
+    monkeypatch.setattr(la, "_counts_admit", lambda short, sigma, fits, norm4=None: True)
     monkeypatch.setattr(
         la, "_changemakers", lambda length, norm, short=None: every_sigma(length, norm)
     )
@@ -576,9 +587,11 @@ def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
 
 def test_norm4_count_after_first_failed_search(monkeypatch):
     """A lattice-search pass (the six fig3-black forms at p = |det|, then GD
-    at 226 with all witnesses) runs 12 embedding searches and counts L's
-    norm-4 vectors 5 times: once per query in which a search failed.  Before
-    the norm-4 rule it ran 37 searches."""
+    at 226 with all witnesses) runs 6 embedding searches and counts L's
+    norm-4 vectors once: once per query in which a search failed.  The
+    linking form decides the four obstructed forms before any search;
+    without it the pass runs 12 searches and 5 norm-4 counts, and before the
+    norm-4 rule it ran 37 searches."""
     searches, tops = [], []
     first_embedding, vector_counts = la._first_embedding, la._vector_counts
     monkeypatch.setattr(
@@ -587,10 +600,18 @@ def test_norm4_count_after_first_failed_search(monkeypatch):
     monkeypatch.setattr(
         la, "_vector_counts", lambda u, top: tops.append(top) or vector_counts(u, top)
     )
-    results = [la.changemaker_obstruction(gram, abs(gram.determinant()), all_witnesses=all_w)
-               for gram, all_w in lattice_search_forms()]
-    assert sum(r.status == "witness" for r in results) == 3
-    assert (len(searches), tops.count(4)) == (12, 5)
+
+    def work():
+        searches.clear()
+        tops.clear()
+        results = [la.changemaker_obstruction(gram, abs(gram.determinant()), all_witnesses=all_w)
+                   for gram, all_w in lattice_search_forms()]
+        assert sum(r.status == "witness" for r in results) == 3
+        return len(searches), tops.count(4)
+
+    assert work() == (6, 1)
+    monkeypatch.setattr(la, "_linking_form_admits", lambda facts: True)
+    assert work() == (12, 5)
 
 
 def test_enumeration_digest():
@@ -626,8 +647,8 @@ def test_enumeration_digest():
     grams.append(go.goeritz_matrix(go.fig3_black_graph(3, 4, 3, 4)))
     yielded = []
     for gram in grams:
-        facts = la._search_facts(gram)
-        yielded.append(len(list(la._changemakers(gram.rank + 1, facts.det, facts.short))))
+        det = abs(gram.determinant())
+        yielded.append(len(list(la._changemakers(gram.rank + 1, det, la._short_counts(gram)))))
     assert yielded == [11, 40, 186, 220, 2, 2, 9, 1122]
 
 
@@ -646,6 +667,112 @@ def test_fig3_black_grid_verdicts():
     assert {k: v for k, v in verdicts.items() if v is not None} == {
         (1, 2, 2, 3): (1, 1, 2, 2, 3, 5, 9)
     }
+
+
+# ---------------------------------------------------------------------------
+# the linking-form filter
+
+
+def fig3_black(a0, a1, b0, b1):
+    return go.goeritz_matrix(go.fig3_black_graph(a0, a1, b0, b1))
+
+
+def test_linking_form_is_the_residue_test():
+    """On fig3-black(a0, a1, b0, b1), 1 <= a0, b0 <= 8, at p = |det|, the
+    linking form passes exactly when the residue test of the splice of
+    T(a0 a1 + 1, a1) and T(b0 b1 + 1, b1) leaves slope -n open.  On 30 of the
+    512 forms the last cofactor shares a prime with p, and the other
+    cofactors obstruct 26 of them."""
+    general = decided = 0
+    for a1, b1 in ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5), (3, 5)):
+        for a0, b0 in itertools.product(range(1, 9), repeat=2):
+            facts = la._search_facts(fig3_black(a0, a1, b0, b1))
+            admits = la._linking_form_admits(facts)
+            y = mf.Splice.of(a0 * a1 + 1, a1, b0 * b1 + 1, b1)
+            _, minus = mf._integral_obstructions(y, (1, -1))
+            assert facts.det == y.h1_order()
+            assert admits == (not minus.obstructed), (a0, a1, b0, b1)
+            if gcd(facts.elimination[-2][-2], facts.det) > 1:
+                general += 1
+                decided += not admits
+    assert (general, decided) == (30, 26)
+
+
+def test_every_witness_passes_the_linking_form(monkeypatch):
+    """The search without the linking form, at p = |det|, on GD, the six
+    fig3-black forms of the lattice-search benchmark and the 148 census
+    forms, and on the sublattices of index 2 and 3 of each: each of its 8
+    witnesses (GD, two benchmark forms, five census forms) passes the linking
+    form, and a form it rejects has no witness."""
+    admits = la._linking_form_admits
+    monkeypatch.setattr(la, "_linking_form_admits", lambda facts: True)
+    grams = [GD, *(fig3_black(*params) for params, _ in lattice_search_jobs() if params)]
+    grams += [go.family_2odd_2odd(r.a, r.b) for r in mf.census_2odd(341)]
+    assert len(grams) == 155
+    witnesses = rejected = 0
+    for gram in grams:
+        for form in (gram, sublattice(gram, 0, 2), sublattice(gram, 0, 3)):
+            res = la.changemaker_obstruction(form, abs(form.determinant()), all_witnesses=True)
+            if res.witnesses:
+                assert admits(la._search_facts(form)), form
+                witnesses += 1
+            else:
+                rejected += not admits(la._search_facts(form))
+    assert (witnesses, rejected) == (8, 298)
+
+
+def test_linking_form_decides_hard_forms(monkeypatch):
+    """fig3-black(3,4,3,4) at 2703, (3,5,3,5) at 6399 and (2,6,3,6) at 8891,
+    whose searches took 0.15 s, 2.5 s and 20.7 s, are obstructed with no
+    changemaker enumerated; so are -diag(3, 3) at 9 and -diag(1, 2, 2) at 4,
+    whose discriminant groups are not cyclic.  The first is also obstructed
+    by the search."""
+    hard = [(fig3_black(3, 4, 3, 4), 2703), (fig3_black(3, 5, 3, 5), 6399),
+            (fig3_black(2, 6, 3, 6), 8891)]
+    hard += [(la.GramMatrix.from_rows([[-3, 0], [0, -3]]), 9),
+             (la.GramMatrix.from_rows([[-1, 0, 0], [0, -2, 0], [0, 0, -2]]), 4)]
+    changemakers = la._changemakers
+    monkeypatch.setattr(la, "_changemakers", None)  # calling it raises TypeError
+    for gram, p in hard:
+        assert abs(gram.determinant()) == p
+        assert la.changemaker_obstruction(gram, p).obstructed, p
+    monkeypatch.setattr(la, "_changemakers", changemakers)
+    monkeypatch.setattr(la, "_linking_form_admits", lambda facts: True)
+    assert la.changemaker_obstruction(*hard[0]).obstructed
+
+
+def test_linking_form_passes_past_64_bits():
+    """numtheory proves primes only up to 2^63 - 1; a larger p passes."""
+    big = la.GramMatrix.from_rows([[-(2**63 + 1)]])
+    assert la._linking_form_admits(la._search_facts(big))
+
+
+def test_one_elimination_per_query(monkeypatch):
+    """A lattice-search pass eliminates each of its 7 forms at most once,
+    census_2odd(10**4) eliminates its 8,463 forms once where they are built
+    and the 148 with n <= 1365 once more, and the four obstructed
+    lattice-search forms, decided by the linking form, count no vectors."""
+    forms = [(gram, abs(gram.determinant()), all_w) for gram, all_w in lattice_search_forms()]
+    eliminations, counts = [], []
+    elimination, vector_counts = la._positive_elimination, la._vector_counts
+    monkeypatch.setattr(
+        la, "_positive_elimination", lambda e: eliminations.append(e) or elimination(e)
+    )
+    monkeypatch.setattr(
+        la, "_vector_counts", lambda u, top: counts.append(top) or vector_counts(u, top)
+    )
+    la._search_facts.cache_clear()
+    la._short_counts.cache_clear()
+    for i, (gram, p, all_w) in enumerate(forms):
+        res = la.changemaker_obstruction(gram, p, all_witnesses=all_w)
+        assert res.obstructed == (i < 4)
+        if i < 4:
+            assert counts == [], i
+    assert len(eliminations) <= 7
+    eliminations.clear()
+    la._search_facts.cache_clear()
+    assert len(mf.census_2odd(10**4)) == 8463
+    assert len(eliminations) == 8611
 
 
 # ---------------------------------------------------------------------------
