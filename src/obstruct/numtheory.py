@@ -21,8 +21,9 @@ divide n) respectively; their exact densities are the products returned by
 :func:`density` does not test each n: it sieves one bytearray over 1..limit,
 striking out the arithmetic progressions of non-members, so it needs about
 limit bytes and refuses limits above ``MAX_DENSITY_LIMIT`` (10^8) with
-:class:`ResourceCapExceeded` before allocating anything.  ``in_S`` and
-``in_Sprime`` decide a single n.
+:class:`ResourceCapExceeded` before allocating anything.  An m < (B + 1)^2
+has at most one prime factor above B, so S sieves the primes to limit and
+Sprime those to isqrt(limit + 1).  ``in_S`` and ``in_Sprime`` decide one n.
 
 Inputs are restricted to signed 64-bit range.  All functions are pure;
 ``factor`` keeps its last four results, a cache that stays only because the
@@ -77,13 +78,14 @@ def _check_width(n: int) -> None:
 
 def _clear(flags: bytearray, start: int, step: int) -> None:
     """Zero flags[start::step] in place, from at most _SEGMENT zero bytes at
-    a time, so a small step does not allocate a large zero source."""
+    a time, so a small step does not allocate a large zero source.  The
+    source is a bytearray, which slice assignment reads without a copy."""
     end = len(flags)
     while end - start > step * _SEGMENT:
-        flags[start : start + step * _SEGMENT : step] = bytes(_SEGMENT)
+        flags[start : start + step * _SEGMENT : step] = bytearray(_SEGMENT)
         start += step * _SEGMENT
     if start < end:
-        flags[start::step] = bytes((end - 1 - start) // step + 1)
+        flags[start::step] = bytearray((end - 1 - start) // step + 1)
 
 
 def _primes_upto(limit: int, residue: int = 0, modulus: int = 1) -> Iterator[int]:
@@ -398,10 +400,11 @@ def _odd_divisors_one_mod(d: int, modulus: int) -> bool:
     """True iff every odd prime divisor of d >= 1 is 1 mod modulus.
 
     Early-exits on the first bad prime.  A product of integers that are
-    1 mod modulus is itself 1 mod modulus, so a cofactor in any other class
-    must contain a bad prime, and we can stop there without splitting it.
+    1 mod modulus is itself 1 mod modulus, so d's odd part, or a cofactor, in
+    any other class must contain a bad prime: we stop there without a split.
     """
-    return all(p == 2 or p % modulus == 1 for p, _ in _split(d))
+    odd = d >> ((d & -d).bit_length() - 1)
+    return odd % modulus == 1 and all(p == 2 or p % modulus == 1 for p, _ in _split(d))
 
 
 def in_S(n: int) -> bool:
@@ -504,6 +507,10 @@ def density(rset: ResidueSet, limit: int) -> Fraction:
       above limit, so a surviving n is in S exactly when the odd part of
       n^2 + 1 is 1 mod 8, which holds exactly when n = 0, 1, 4, 7 mod 8.
     * Sprime: counted by :func:`_count_sprime`.
+
+    A class c mod p with limit < 2p <= 2 limit holds only c and c + p in
+    1..limit, zeroed by index.  Any other is zeroed in place from a fresh
+    zero bytearray if it has at most _SEGMENT members, else by :func:`_clear`.
     """
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
@@ -527,26 +534,37 @@ def density(rset: ResidueSet, limit: int) -> Fraction:
         primes = rset.primes()
     for p in primes:
         r = pow(2, (p - 1) // 4, p)
-        _clear(keep, r, p)
-        _clear(keep, p - r, p)
+        if limit < 2 * p <= 2 * limit:
+            keep[r] = keep[p - r] = 0
+            if r + p <= limit:
+                keep[r + p] = 0
+            if 2 * p - r <= limit:
+                keep[2 * p - r] = 0
+        elif limit < p * _SEGMENT:
+            keep[r::p] = bytearray((limit - r) // p + 1)
+            keep[p - r :: p] = bytearray((limit - p + r) // p + 1)
+        else:
+            _clear(keep, r, p)
+            _clear(keep, p - r, p)
     return Fraction(keep.count(1), limit)
 
 
 def _count_sprime(limit: int) -> int:
     """|{2..limit} intersect Sprime|.
 
-    ``good[m]`` is 1 when no prime 3 mod 4 divides m (0 <= m <= limit + 1);
-    n counts when good[n - 1] or good[n + 1].  A prime above half of
-    limit + 1 is its own only multiple in range.  The two rows are compared
-    ``_ROW_CHUNK`` bytes at a time, as the bits of two integers.
+    ``good[m]`` is 1 when no prime 3 mod 4 divides m (0 < m <= limit + 1);
+    n counts when good[n - 1] or good[n + 1].  It sieves the primes 3 mod 4
+    up to B = isqrt(limit + 1): a survivor m < (B + 1)^2 has at most one
+    prime above B and its other odd primes are 1 mod 4, so m is good iff its
+    odd part is 1 mod 4.  Then it clears m = 3 * 2^a mod 2^(a + 2), the m
+    whose odd part is 3 mod 4 and so holds a prime 3 mod 4.  The two rows
+    are compared ``_ROW_CHUNK`` bytes at a time, as the bits of two integers.
     """
     good = bytearray([1]) * (limit + 2)
-    half = (limit + 1) // 2
-    for p in _primes_upto(limit + 1, 3, 4):
-        if p > half:
-            good[p] = 0
-        else:
-            _clear(good, p, p)
+    for q in _primes_upto(isqrt(limit + 1), 3, 4):
+        _clear(good, q, q)
+    for a in range(((limit + 1) // 3).bit_length()):
+        _clear(good, 3 << a, 4 << a)
     count = 0
     with memoryview(good) as view:
         for lo in range(1, limit, _ROW_CHUNK):  # lo = n - 1

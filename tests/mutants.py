@@ -83,6 +83,22 @@ MUTANTS = (
     Mutant("split-exponent-counted-with-if", NT,
            "            while n % c == 0:\n", "            if n % c == 0:\n",
            (T_NT + "test_square_root_mod_large_n_digest",)),
+    # the density sieves: Sprime's primes to isqrt(limit + 1) and its 2-adic
+    # progressions, S's large primes stored by index and its clears chunked
+    Mutant("sprime-sieve-to-isqrt-limit", NT,
+           "_primes_upto(isqrt(limit + 1), 3, 4)", "_primes_upto(isqrt(limit), 3, 4)",
+           (T_NT + "test_density_matches_slow_sieves[Sprime]",)),
+    Mutant("sprime-odd-part-skips-odd-m", NT,
+           "for a in range(((limit + 1) // 3).bit_length()):",
+           "for a in range(1, ((limit + 1) // 3).bit_length()):",
+           (T_NT + "test_density_matches_slow_sieves[Sprime]",)),
+    Mutant("s-large-prime-drops-second-member", NT,
+           "            if r + p <= limit:\n                keep[r + p] = 0\n", "",
+           (T_NT + "test_density_examples",
+            T_NT + "test_density_matches_slow_sieves[Sk3]")),
+    Mutant("s-unchunked-clear-past-the-segment", NT,
+           "elif limit < p * _SEGMENT:", "elif True:",
+           (T_NT + "test_s_density_clears_from_one_segment",)),
     # factoring: the trial gcd, the prime cofactor bound, the Miller-Rabin bases
     Mutant("trial-gcd-drops-last-prime", NT,
            "    if g > 1:\n        small.append(g)\n", "",

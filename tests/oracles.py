@@ -155,3 +155,34 @@ def chi_8m(a, m):
     while not nt.is_prime(p):
         p += 8 * m
     return 1 if pow(2 * m % p, (p - 1) // 2, p) == 1 else -1  # Euler's criterion
+
+
+def density_members(rset, limit):
+    """Bytes m with m[n] = 1 exactly when n in 0..limit is in rset, for S,
+    Sprime or Sk, by the slow sieves that nt.density ran before it cleared
+    the large primes of S by index and sieved Sprime only to isqrt(limit + 1):
+    one clear per progression, and for Sprime every prime 3 mod 4 up to
+    limit + 1.  The oracle for nt.density, and so nt._count_sprime; the
+    count to any L <= limit is m.count(1, 0, L + 1)."""
+    if rset.kind == "Sprime":
+        if limit < 2:
+            return bytes(limit + 1)
+        good = bytearray([1]) * (limit + 2)
+        for q in nt._primes_upto(limit + 1, 3, 4):
+            good[q::q] = bytes(len(range(q, limit + 2, q)))
+        below = int.from_bytes(good[1:limit], "little")  # good[n - 1], n = 2..limit
+        above = int.from_bytes(good[3 : limit + 2], "little")  # good[n + 1]
+        return bytes(2) + (below | above).to_bytes(limit - 1, "little")
+    keep = bytearray([1]) * (limit + 1)
+    keep[0] = 0
+    if rset.kind == "S":
+        for c in (2, 3, 5, 6):
+            keep[c::8] = bytes(len(range(c, limit + 1, 8)))
+        primes = nt._primes_upto(limit, 5, 8)
+    else:
+        primes = rset.primes()
+    for p in primes:
+        r = pow(2, (p - 1) // 4, p)
+        for c in (r, p - r):
+            keep[c::p] = bytes(len(range(c, limit + 1, p)))
+    return bytes(keep)

@@ -221,7 +221,8 @@ def test_verdict_walks_n_once_and_splits_only_while_a_sign_lives(monkeypatch):
     """splice-2-3 (n = 37) has Jacobi symbol -1 for both signs, and its
     residue test never walks n's primes; splice-3-4 (n = 145) has +1 on a
     non-square and walks them once for both signs.  (Both are opposite mirror
-    pairs, whose in_S shortcut walks k^2 + 1 = n once more.)  For
+    pairs, whose in_S shortcut walks k^2 + 1 = n once more when its odd part
+    is 1 mod 8, as 145 is; 37 = 5 mod 8 is not in S, with no walk.)  For
     n = 158,868,865 = 5 * 4127 * 7699 both signs have Jacobi symbol +1 and
     die at 5, so the composite cofactor 4127 * 7699 > 4096^2 is never proved
     or split."""
@@ -234,7 +235,7 @@ def test_verdict_walks_n_once_and_splits_only_while_a_sign_lives(monkeypatch):
 
     monkeypatch.setattr(nt, "_split", counted)
     mf.not_surgery_verdict(mf.Splice.of(2, 3, 2, -3))
-    assert walks == [("_odd_divisors_one_mod", 37)]
+    assert walks == []
     walks.clear()
     mf.not_surgery_verdict(mf.Splice.of(3, 4, -3, 4))
     assert walks == [("_square_roots_mod", 145), ("_odd_divisors_one_mod", 145)]

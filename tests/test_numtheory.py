@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -654,9 +655,52 @@ def test_density_sieve_across_segments(monkeypatch):
             assert nt.density(rset, limit) * limit == count, (rset, limit)
 
 
+def density_edge_limits(seed=29):
+    """The limits where the fast sieves change course: limit + 1 = k^2 - 1,
+    k^2, k^2 + 1 for k <= 300, where isqrt(limit + 1) steps; limit + 1 =
+    3 * 2^a +- 1, next to a 2-adic progression's first member; limit = p and
+    2p - 2 .. 2p + 2 for primes p = 5 mod 8, where p crosses limit and
+    limit / 2; 10^5 and 10^6; and 40 seeded limits below 2 * 10^6."""
+    rng = random.Random(seed)
+    out = {k * k + d - 1 for k in range(1, 301) for d in (-1, 0, 1)}
+    out |= {3 * 2**a + d - 1 for a in range(20) for d in (-1, 1)}
+    primes = nt.primes_in_class(40, 5, 8) + tuple(
+        rng.sample(list(nt._primes_upto(10**5, 5, 8)), 10)
+    )
+    out |= {x for p in primes for x in (p, 2 * p - 2, 2 * p - 1, 2 * p, 2 * p + 1, 2 * p + 2)}
+    out |= {10**5, 10**6} | {rng.randrange(1, 2 * 10**6) for _ in range(40)}
+    return sorted(x for x in out if x >= 1)
+
+
+@pytest.mark.parametrize("rset", DENSITY_SETS[:6], ids=lambda rset: rset.name().replace(":", ""))
+def test_density_matches_slow_sieves(rset):
+    """density against the slow sieves it replaced (oracles.density_members),
+    at every limit of density_edge_limits()."""
+    limits = density_edge_limits()
+    members = oracles.density_members(rset, limits[-1])
+    for limit in limits:
+        assert nt.density(rset, limit) * limit == members.count(1, 0, limit + 1), limit
+
+
+def test_sprime_sieves_primes_to_isqrt(monkeypatch):
+    """_count_sprime(limit) asks _primes_upto only for the primes up to
+    isqrt(limit + 1), never up to limit + 1."""
+    bounds = []
+    primes_upto = nt._primes_upto
+    monkeypatch.setattr(
+        nt, "_primes_upto", lambda n, *args: bounds.append(n) or primes_upto(n, *args)
+    )
+    for limit in (1, 2, 3, 7, 8, 9, 99, 10**5, 10**6):
+        bounds.clear()
+        nt.density(nt.ResidueSet("Sprime"), limit)
+        assert bounds and max(bounds) <= isqrt(limit + 1), (limit, bounds)
+
+
 def test_sprime_count_compares_rows_in_chunks():
     """The row comparison adds only small integers to the sieve's arrays:
-    about 3 bytes per n at the peak, where comparing whole rows took 4.2."""
+    about 1.3 bytes per n at the peak, the limit + 2 bytes of the rows and
+    the zero source of the clear of 3's multiples, where sieving every prime
+    to limit + 1 took 3 and comparing whole rows 4.2."""
     limit = 10**6
     tracemalloc.start()
     try:
@@ -664,7 +708,23 @@ def test_sprime_count_compares_rows_in_chunks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * limit
+    assert peak < 2 * limit
+
+
+def test_s_density_clears_from_one_segment(monkeypatch):
+    """Beyond its limit + 1 flags, S's sieve holds a few buffers of at most
+    _SEGMENT bytes (the prime sieve's segment, one clear's zero source) and
+    the primes up to isqrt(limit): 7 KB with a 2 KiB segment at 2 * 10^5,
+    where one unchunked clear of a class mod 5 would take 40 KB."""
+    limit = 2 * 10**5
+    monkeypatch.setattr(nt, "_SEGMENT", 1 << 11)
+    tracemalloc.start()
+    try:
+        nt.density(nt.ResidueSet("S"), limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit + 8 * nt._SEGMENT
 
 
 def test_density_limit_cap():
