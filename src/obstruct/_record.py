@@ -12,7 +12,8 @@ class Record:
 
     A subclass names its fields in ``__slots__``, in constructor order; its
     ``__init__`` checks the arguments it cannot trust and stores them with
-    ``_set``.
+    ``_set``.  A slot named with a leading ``_`` is not a field: it follows
+    them and holds what ``__init__`` derives, as ``GramMatrix._rows`` does.
     Records compare and hash by their fields, but equal only an instance of
     the same class: ``TorusKnot(3, 5) != Lens(3, 5)``, and no record equals
     a tuple.  ``repr`` is ``Name(field=value, ...)``.
@@ -21,8 +22,9 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # a C getter: a GramMatrix is hashed at every _search_facts lookup
-        cls._values = staticmethod(attrgetter(*cls.__slots__))
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # a C getter: a GramMatrix is hashed at every _short_counts lookup
+        cls._values = staticmethod(attrgetter(*cls._fields))
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -42,8 +44,8 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)

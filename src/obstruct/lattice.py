@@ -15,7 +15,9 @@ boundary, which keeps the search free of sign errors.
 A GramMatrix is negative definite by construction: its constructor runs a
 fraction-free Bareiss elimination of -G without pivoting and needs every
 pivot, a leading principal minor of -G, to be positive; no code checks
-again.  The same elimination gives the determinant.  No floating point is used.
+again.  The form keeps that elimination's rows, so it is the only one: the
+determinant, the linking form and the vector counts all read it.  No
+floating point is used.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cache, lru_cache
 from itertools import accumulate
 from math import comb, gcd, isqrt, lcm
 from operator import eq, le
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from ._record import Record
 from .numtheory import (
@@ -37,37 +39,40 @@ MAX_CHANGEMAKER_LENGTH = 512
 
 
 class GramMatrix(Record):
-    """A symmetric, negative definite integer matrix: the constructor raises
+    """A symmetric, negative definite matrix of ints: the constructor raises
     ResourceCapExceeded for a rank above ``MAX_CHANGEMAKER_LENGTH - 1``,
-    before any elimination, and ValueError for any other matrix."""
+    before any elimination, and ValueError for any other matrix.  It keeps
+    the rows of its elimination in ``_rows``, which is not a field."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_rows")
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("Gram matrix must be square")
+        if any(type(x) is not int for row in entries for x in row):
+            raise ValueError("Gram matrix entries must be ints")
         for i in range(n):
             for j in range(i):
                 if entries[i][j] != entries[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
         _check_length(n + 1)
-        if _positive_elimination(entries) is None:
+        rows = _positive_elimination(entries)
+        if rows is None:
             raise ValueError("Gram matrix must be negative definite")
-        self._set(entries)
+        self._set(entries, rows)
 
     @staticmethod
     def from_rows(rows) -> "GramMatrix":
-        return GramMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        return GramMatrix(tuple(map(tuple, rows)))
 
     @property
     def rank(self) -> int:
         return len(self.entries)
 
     def determinant(self) -> int:
-        """det G = (-1)^n det(-G)."""
-        u = _positive_elimination(self.entries)
-        return (-1) ** self.rank * (u[-1][-1] if u else 1)
+        """det G = (-1)^n det(-G), and det(-G) is the last pivot."""
+        return (-1) ** self.rank * (self._rows[-1][-1] if self._rows else 1)
 
     def is_negative_definite(self) -> bool:
         """True: the constructor refuses every other matrix."""
@@ -83,11 +88,7 @@ def _positive_elimination(entries: tuple[tuple[int, ...], ...]) -> list[list[int
     minor, and by Sylvester's criterion -G is positive definite exactly when
     each of these pivots is positive.
     """
-    return _bareiss([[-x for x in row] for row in entries])
-
-
-def _bareiss(a: list[list[int]]) -> list[list[int]] | None:
-    """``_positive_elimination`` of the matrix a itself, in place."""
+    a = [[-x for x in row] for row in entries]
     n = len(a)
     prev = 1
     for k in range(n):
@@ -303,47 +304,23 @@ class Embedding(Record):
         return rows == gram.entries and any(s)
 
 
-class _SearchFacts(NamedTuple):
-    """What the embedding search needs to know about a negative-definite
-    Gram matrix G, computed once per matrix."""
-
-    positive: tuple[tuple[int, ...], ...]  # the positive-definite form -G
-    order: tuple[int, ...]  # fill order: by diagonal entry, then by index
-    det: int  # |det G|
-    elimination: list[list[int]]  # the Bareiss rows of -G
-
-
-@lru_cache(maxsize=64)
-def _search_facts(gram: GramMatrix) -> _SearchFacts:
-    """The facts about `gram`."""
-    u = _positive_elimination(gram.entries)
-    n = gram.rank
-    gp = tuple(tuple(-x for x in row) for row in gram.entries)
-    return _SearchFacts(
-        positive=gp,
-        order=tuple(sorted(range(n), key=lambda i: (gp[i][i], i))),
-        det=u[-1][-1] if n else 1,
-        elimination=u,
-    )
-
-
 @lru_cache(maxsize=64)
 def _short_counts(gram: GramMatrix) -> tuple[int, ...]:
-    """Numbers of vectors of norm 1, 2 and 3 of L = (Z^n, -G), counted once
-    per matrix: ``embed_in_complement`` asks for them once per sigma."""
-    return tuple(_vector_counts(_search_facts(gram).elimination, 3)[1:])
+    """Numbers of vectors of norm 1, 2 and 3 of L = (Z^n, -G), counted from
+    the form's elimination once per matrix: ``embed_in_complement`` asks for
+    them once per sigma."""
+    return tuple(_vector_counts(gram._rows, 3)[1:])
 
 
-def _linking_form_admits(facts: _SearchFacts) -> bool:
+def _linking_form_admits(gram: GramMatrix) -> bool:
     """False only if L's discriminant form proves that L = (Z^n, G) is not
     the complement of any vector of norm p = |det G| in -Z^(n+1); see
     ``changemaker_obstruction`` for the proof.  A p past numtheory's 64-bit
     range passes untested."""
-    p, gp = facts.det, facts.positive
-    n = len(gp)
+    p, g, n = abs(gram.determinant()), gram.entries, gram.rank
     if p > MAX_INPUT:
         return True
-    m = facts.elimination[-2][-2] if n > 1 else 1
+    m = gram._rows[-2][-2] if n > 1 else 1
     if gcd(m, p) == 1:
         return _square_roots_mod((-m,), p)[0] is not None
 
@@ -353,7 +330,7 @@ def _linking_form_admits(facts: _SearchFacts) -> bool:
         if i == n - 1:
             return m
         keep = [j for j in range(n) if j != i]
-        return _bareiss([[gp[r][k] for k in keep] for r in keep])[-1][-1]
+        return _positive_elimination([[g[r][k] for k in keep] for r in keep])[-1][-1]
 
     for q, e in _split(p):
         if e == 0:
@@ -517,29 +494,25 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     d = gram.rank + 1
     if len(sigma) != d:
         raise ValueError(f"sigma must have length {d}, got {len(sigma)}")
-    facts = _search_facts(gram)
     if sigma.norm == 0:
         return None  # the zero vector spans nothing; full rank is impossible
-    fits = _index_fit(facts.det, sigma.norm)
+    fits = _index_fit(abs(gram.determinant()), sigma.norm)
     if fits is None or not _counts_admit(_short_counts(gram), sigma, fits):
         return None
-    return _first_embedding(gram, facts, sigma)
+    return _first_embedding(gram, sigma)
 
 
-def _first_embedding(
-    gram: GramMatrix, facts: _SearchFacts, sigma: Changemaker
-) -> Embedding | None:
+def _first_embedding(gram: GramMatrix, sigma: Changemaker) -> Embedding | None:
     """``embed_in_complement`` for a nonzero sigma of length rank + 1 that
-    ``_counts_admit``, given the facts about `gram`.  ``fill(t)`` returns the
-    first embedding extending the vectors filled so far, or None.  It sets
-    vector t's coordinates, largest sigma entry first, with an explicit
-    stack, so the Python stack grows by one frame per vector, and calls
-    fill(t + 1) per candidate."""
+    ``_counts_admit``.  ``fill(t)`` returns the first embedding extending
+    the vectors filled so far, or None.  It sets vector t's coordinates,
+    largest sigma entry first, with an explicit stack, so the Python stack
+    grows by one frame per vector, and calls fill(t + 1) per candidate."""
     n = gram.rank
     d = n + 1
 
-    gp = facts.positive
-    order = facts.order
+    g = gram.entries
+    order = sorted(range(n), key=lambda i: -g[i][i])  # by norm, then by index
     sig = sigma.entries[::-1]  # largest sigma entries first
     suf_sig2 = list(accumulate((x * x for x in reversed(sig)), initial=0))[::-1]
 
@@ -553,8 +526,8 @@ def _first_embedding(
                 res[order[s]] = vecs[s][::-1]
             emb = Embedding(sigma, tuple(res))  # type: ignore[arg-type]
             return emb if emb.verifies(gram) else None  # rank check; holds whenever G is definite
-        diag = gp[order[t]][order[t]]
-        offs = [gp[order[t]][order[s]] for s in range(t)]
+        diag = -g[order[t]][order[t]]
+        offs = [-g[order[t]][order[s]] for s in range(t)]
         v = [0] * d
 
         def values(j: int, rem: int) -> list[int] | range:
@@ -693,17 +666,17 @@ def changemaker_obstruction(
     later sigma must pass the norm-4 counts too.  That count can take over
     ten times as long as the norm <= 3 counts (the rank-30 form -I has 438,540
     vectors of norm 4), which a query whose first search succeeds never pays.
-    The facts about G are computed once, not once per changemaker.  p < 1
-    raises ValueError before any work; G's rank was capped, and its
-    definiteness proved, when G was built.
+    Every step reads the one elimination that proved G definite when it
+    was built, where G's rank was capped too; none eliminates G again, and
+    only the linking form eliminates its cofactors.  p < 1 raises
+    ValueError before any work.
     """
     if p < 1:
         raise ValueError(f"norm p must be positive, got {p}")
     if p > changemaker_max_norm(gram.rank + 1):
         return ObstructionResult("obstructed", ())
-    facts = _search_facts(gram)
-    fits = _index_fit(facts.det, p)
-    if fits is None or (fits is eq and not _linking_form_admits(facts)):
+    fits = _index_fit(abs(gram.determinant()), p)
+    if fits is None or (fits is eq and not _linking_form_admits(gram)):
         return ObstructionResult("obstructed", ())
     found = []
     short = _short_counts(gram)
@@ -712,13 +685,13 @@ def changemaker_obstruction(
         sigma = Changemaker(entries)
         if not _counts_admit(short, sigma, fits, norm4):
             continue
-        emb = _first_embedding(gram, facts, sigma)
+        emb = _first_embedding(gram, sigma)
         if emb is not None:
             found.append(emb)
             if not all_witnesses:
                 break
         elif norm4 is None:
-            norm4 = _vector_counts(facts.elimination, 4)[4]
+            norm4 = _vector_counts(gram._rows, 4)[4]
     if found:
         return ObstructionResult("witness", tuple(found))
     return ObstructionResult("obstructed", ())

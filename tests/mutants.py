@@ -42,6 +42,7 @@ T_MF = "tests/test_manifolds.py::"
 T_LA = "tests/test_lattice.py::"
 T_GO = "tests/test_goeritz.py::"
 T_PK = "tests/test_package.py::"
+T_RC = "tests/test_records.py::"
 
 MUTANTS = (
     # Tonelli-Shanks and Euler's criterion
@@ -138,12 +139,21 @@ MUTANTS = (
     Mutant("linking-form-passes-with-no-cofactor-prime", LA,
            "if c is None or _sqrt_mod_prime_power", "if c is not None and _sqrt_mod_prime_power",
            (T_LA + "test_linking_form_decides_hard_forms",)),
-    # a GramMatrix is checked where it is built, and only there
+    # a GramMatrix is checked where it is built, and only there; it keeps
+    # that elimination, which no record method compares, hashes or prints
     Mutant("gram-accepts-indefinite", LA,
-           "        if _positive_elimination(entries) is None:\n"
+           "        if rows is None:\n"
            "            raise ValueError(\"Gram matrix must be negative definite\")\n",
            "",
            (T_LA + "test_negative_definite", T_GO + "test_graph_validation")),
+    Mutant("determinant-reads-the-first-pivot", LA,
+           "(self._rows[-1][-1] if self._rows else 1)", "(self._rows[0][0] if self._rows else 1)",
+           (T_LA + "test_determinant_against_permutation_expansion",)),
+    Mutant("record-private-slot-is-a-field", "_record.py",
+           "for name in cls.__slots__ if not name.startswith(\"_\"))",
+           "for name in cls.__slots__)",
+           (T_RC + "test_private_slot_is_not_a_field",
+            T_RC + "test_record_repr_names_fields[GramMatrix]")),
     Mutant("gram-without-rank-cap", LA,
            "        _check_length(n + 1)\n", "",
            (T_LA + "test_obstruction_length_cap",)),

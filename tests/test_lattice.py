@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import random
 from math import comb, gcd, isqrt
 from operator import eq
@@ -59,6 +61,30 @@ def test_negative_definite():
     for rows in ([[0]], [[1]], [[-1, 2], [2, -1]], [[-1, 1], [1, -1]]):
         with pytest.raises(ValueError, match="Gram matrix must be negative definite"):
             la.GramMatrix.from_rows(rows)
+
+
+def test_gram_entries_must_be_ints():
+    """No entry is truncated or taken as a float: truncating -2.7 to -2
+    would build a form of determinant 3, and -2.5 has a float determinant
+    that changemaker_obstruction cannot use."""
+    with pytest.raises(ValueError, match="entries must be ints"):
+        la.GramMatrix.from_rows([[-2.7, 1], [1, -2]])
+    with pytest.raises(ValueError, match="entries must be ints"):
+        la.GramMatrix(((-2.5, 1.0), (1.0, -2.0)))
+
+
+@pytest.mark.parametrize(
+    "rebuild", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copied_form_keeps_its_elimination(rebuild):
+    """Copy and pickle rebuild a form through its constructor, which makes
+    its elimination anew; the copy's vector counts are its own."""
+    want = la.changemaker_obstruction(GD, 226, all_witnesses=True)
+    form = rebuild(GD)
+    la._short_counts.cache_clear()
+    assert form.determinant() == 226
+    assert la.changemaker_obstruction(form, 226, all_witnesses=True) == want
 
 
 def no_elimination(entries):
@@ -240,13 +266,15 @@ def test_obstruction_rejects_nonpositive_norm():
 
 
 def test_nonpositive_norm_rejected_before_gram_facts(monkeypatch):
-    """p < 1 is refused before _search_facts, whose norm <= 3 count can run
-    for a minute on a large form."""
+    """p < 1 is refused before any vector count, which can run for a minute
+    on a large form, and before any elimination."""
 
-    def no_facts(gram):
-        raise AssertionError("Gram facts computed")
+    def no_counts(u, top):
+        raise AssertionError("vectors counted")
 
-    monkeypatch.setattr(la, "_search_facts", no_facts)
+    monkeypatch.setattr(la, "_vector_counts", no_counts)
+    monkeypatch.setattr(la, "_positive_elimination", no_elimination)
+    la._short_counts.cache_clear()
     with pytest.raises(ValueError, match="norm p must be positive"):
         la.changemaker_obstruction(GD, 0)
 
@@ -333,12 +361,18 @@ def test_all_yielded_embeddings_verify():
     assert any(found) and all(emb.verifies(gram) for emb in found if emb)
 
 
-def test_search_facts_computed_once_per_query(monkeypatch):
-    calls = []
-    search_facts = la._search_facts
-    monkeypatch.setattr(la, "_search_facts", lambda g: calls.append(g) or search_facts(g))
+def test_gram_facts_computed_once_per_query(monkeypatch):
+    """GD at 226 reads the elimination made when GD was built, and counts
+    L's vectors of norm <= 3 once for all its changemakers."""
+    tops = []
+    vector_counts = la._vector_counts
+    monkeypatch.setattr(la, "_positive_elimination", no_elimination)
+    monkeypatch.setattr(
+        la, "_vector_counts", lambda u, top: tops.append(top) or vector_counts(u, top)
+    )
+    la._short_counts.cache_clear()
     assert len(la.changemaker_obstruction(GD, 226, all_witnesses=True).witnesses) >= 1
-    assert calls == [GD]
+    assert tops.count(3) == 1
 
 
 def test_no_index_obstructs_without_enumerating(monkeypatch):
@@ -433,7 +467,7 @@ def test_obstruction_equals_embedding_of_each_sigma(monkeypatch):
             res = la.changemaker_obstruction(form, p, all_witnesses=True)
             assert res == la.ObstructionResult("witness" if found else "obstructed", found)
             fits = la._index_fit(abs(form.determinant()), p)
-            admits = fits is not eq or la._linking_form_admits(la._search_facts(form))
+            admits = fits is not eq or la._linking_form_admits(form)
             assert bool(calls) == (fits is not None and admits), (form, p)
             if fits is not None and not admits:
                 decided.append((form, p))
@@ -500,10 +534,9 @@ def test_short_counts_against_brute_force():
             q = sum(gp[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
             if q <= 4:
                 want[q] += 1
-        facts = la._search_facts(gram)
         assert la._short_counts(gram) == (want[1], want[2], want[3]), gram
-        assert la._vector_counts(facts.elimination, 4) == want, gram
-        assert facts.det == det
+        assert la._vector_counts(gram._rows, 4) == want, gram
+        assert abs(gram.determinant()) == det
 
 
 def test_targeted_enumeration_equals_filtered_enumeration():
@@ -576,7 +609,7 @@ def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
 
     filtered = search()
     every_sigma = la._changemakers
-    monkeypatch.setattr(la, "_linking_form_admits", lambda facts: True)
+    monkeypatch.setattr(la, "_linking_form_admits", lambda gram: True)
     monkeypatch.setattr(la, "_counts_admit", lambda short, sigma, fits, norm4=None: True)
     monkeypatch.setattr(
         la, "_changemakers", lambda length, norm, short=None: every_sigma(length, norm)
@@ -595,7 +628,7 @@ def test_norm4_count_after_first_failed_search(monkeypatch):
     searches, tops = [], []
     first_embedding, vector_counts = la._first_embedding, la._vector_counts
     monkeypatch.setattr(
-        la, "_first_embedding", lambda g, f, s: searches.append(s) or first_embedding(g, f, s)
+        la, "_first_embedding", lambda g, s: searches.append(s) or first_embedding(g, s)
     )
     monkeypatch.setattr(
         la, "_vector_counts", lambda u, top: tops.append(top) or vector_counts(u, top)
@@ -610,7 +643,7 @@ def test_norm4_count_after_first_failed_search(monkeypatch):
         return len(searches), tops.count(4)
 
     assert work() == (6, 1)
-    monkeypatch.setattr(la, "_linking_form_admits", lambda facts: True)
+    monkeypatch.setattr(la, "_linking_form_admits", lambda gram: True)
     assert work() == (12, 5)
 
 
@@ -686,13 +719,13 @@ def test_linking_form_is_the_residue_test():
     general = decided = 0
     for a1, b1 in ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5), (3, 5)):
         for a0, b0 in itertools.product(range(1, 9), repeat=2):
-            facts = la._search_facts(fig3_black(a0, a1, b0, b1))
-            admits = la._linking_form_admits(facts)
+            form = fig3_black(a0, a1, b0, b1)
+            admits = la._linking_form_admits(form)
             y = mf.Splice.of(a0 * a1 + 1, a1, b0 * b1 + 1, b1)
             _, minus = mf._integral_obstructions(y, (1, -1))
-            assert facts.det == y.h1_order()
+            assert abs(form.determinant()) == y.h1_order()
             assert admits == (not minus.obstructed), (a0, a1, b0, b1)
-            if gcd(facts.elimination[-2][-2], facts.det) > 1:
+            if gcd(form._rows[-2][-2], y.h1_order()) > 1:
                 general += 1
                 decided += not admits
     assert (general, decided) == (30, 26)
@@ -705,7 +738,7 @@ def test_every_witness_passes_the_linking_form(monkeypatch):
     witnesses (GD, two benchmark forms, five census forms) passes the linking
     form, and a form it rejects has no witness."""
     admits = la._linking_form_admits
-    monkeypatch.setattr(la, "_linking_form_admits", lambda facts: True)
+    monkeypatch.setattr(la, "_linking_form_admits", lambda gram: True)
     grams = [GD, *(fig3_black(*params) for params, _ in lattice_search_jobs() if params)]
     grams += [go.family_2odd_2odd(r.a, r.b) for r in mf.census_2odd(341)]
     assert len(grams) == 155
@@ -714,10 +747,10 @@ def test_every_witness_passes_the_linking_form(monkeypatch):
         for form in (gram, sublattice(gram, 0, 2), sublattice(gram, 0, 3)):
             res = la.changemaker_obstruction(form, abs(form.determinant()), all_witnesses=True)
             if res.witnesses:
-                assert admits(la._search_facts(form)), form
+                assert admits(form), form
                 witnesses += 1
             else:
-                rejected += not admits(la._search_facts(form))
+                rejected += not admits(form)
     assert (witnesses, rejected) == (8, 298)
 
 
@@ -737,21 +770,23 @@ def test_linking_form_decides_hard_forms(monkeypatch):
         assert abs(gram.determinant()) == p
         assert la.changemaker_obstruction(gram, p).obstructed, p
     monkeypatch.setattr(la, "_changemakers", changemakers)
-    monkeypatch.setattr(la, "_linking_form_admits", lambda facts: True)
+    monkeypatch.setattr(la, "_linking_form_admits", lambda gram: True)
     assert la.changemaker_obstruction(*hard[0]).obstructed
 
 
 def test_linking_form_passes_past_64_bits():
     """numtheory proves primes only up to 2^63 - 1; a larger p passes."""
     big = la.GramMatrix.from_rows([[-(2**63 + 1)]])
-    assert la._linking_form_admits(la._search_facts(big))
+    assert la._linking_form_admits(big)
 
 
 def test_one_elimination_per_query(monkeypatch):
-    """A lattice-search pass eliminates each of its 7 forms at most once,
-    census_2odd(10**4) eliminates its 8,463 forms once where they are built
-    and the 148 with n <= 1365 once more, and the four obstructed
-    lattice-search forms, decided by the linking form, count no vectors."""
+    """Each form is eliminated once, where it is built: census_2odd(10**4)
+    eliminates its 8,463 forms once each.  A lattice-search pass on built
+    forms eliminates no form again; the one elimination it runs is a
+    linking-form cofactor, of rank n - 1, for the fifth form (rank 6 at
+    p = 125).  The four obstructed lattice-search forms, decided by the
+    linking form, count no vectors."""
     forms = [(gram, abs(gram.determinant()), all_w) for gram, all_w in lattice_search_forms()]
     eliminations, counts = [], []
     elimination, vector_counts = la._positive_elimination, la._vector_counts
@@ -761,18 +796,20 @@ def test_one_elimination_per_query(monkeypatch):
     monkeypatch.setattr(
         la, "_vector_counts", lambda u, top: counts.append(top) or vector_counts(u, top)
     )
-    la._search_facts.cache_clear()
     la._short_counts.cache_clear()
+    cofactors = []
     for i, (gram, p, all_w) in enumerate(forms):
+        eliminations.clear()
         res = la.changemaker_obstruction(gram, p, all_witnesses=all_w)
         assert res.obstructed == (i < 4)
         if i < 4:
             assert counts == [], i
-    assert len(eliminations) <= 7
+        assert all(len(e) == gram.rank - 1 for e in eliminations), i
+        cofactors.append(len(eliminations))
+    assert cofactors == [0, 0, 0, 0, 1, 0, 0]
     eliminations.clear()
-    la._search_facts.cache_clear()
     assert len(mf.census_2odd(10**4)) == 8463
-    assert len(eliminations) == 8611
+    assert len(eliminations) == 8463
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,15 @@ def test_record_repr_names_fields(name, cls, kwargs):
     assert repr(x) == f"{name}({fields})"
 
 
+def test_private_slot_is_not_a_field():
+    """GramMatrix keeps its elimination in the slot _rows, which equality,
+    hash, repr, copy and pickle leave out."""
+    gram = obstruct.GramMatrix(((-2, 1), (1, -2)))
+    assert "_rows" in obstruct.GramMatrix.__slots__
+    assert obstruct.GramMatrix._fields == ("entries",)
+    assert "_rows" not in repr(gram)
+
+
 @pytest.mark.parametrize("name,cls,kwargs", SAMPLES, ids=IDS)
 def test_record_takes_fields_positionally_too(name, cls, kwargs):
     assert cls(*kwargs.values()) == cls(**kwargs)
