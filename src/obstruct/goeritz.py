@@ -69,7 +69,7 @@ def goeritz_matrix(graph: CheckerboardGraph) -> GramMatrix:
             rows[u - 1][v - 1] += crossings
             rows[v - 1][u - 1] += crossings
     try:
-        return GramMatrix.from_rows(rows)
+        return GramMatrix(rows)
     except ValueError:
         raise ValueError("checkerboard graph must be connected") from None
 

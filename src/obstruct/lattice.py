@@ -26,7 +26,7 @@ from functools import cache, lru_cache
 from itertools import accumulate
 from math import comb, gcd, isqrt, lcm
 from operator import eq, le
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ._record import Record
 from .numtheory import (
@@ -39,14 +39,16 @@ MAX_CHANGEMAKER_LENGTH = 512
 
 
 class GramMatrix(Record):
-    """A symmetric, negative definite matrix of ints: the constructor raises
+    """A symmetric, negative definite matrix of ints, given as a sequence of
+    rows of any kind and stored as a tuple of tuples: the constructor raises
     ResourceCapExceeded for a rank above ``MAX_CHANGEMAKER_LENGTH - 1``,
     before any elimination, and ValueError for any other matrix.  It keeps
     the rows of its elimination in ``_rows``, which is not a field."""
 
     __slots__ = ("entries", "_rows")
 
-    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, entries: Iterable[Iterable[int]]) -> None:
+        entries = tuple(map(tuple, entries))
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("Gram matrix must be square")
@@ -61,10 +63,6 @@ class GramMatrix(Record):
         if rows is None:
             raise ValueError("Gram matrix must be negative definite")
         self._set(entries, rows)
-
-    @staticmethod
-    def from_rows(rows) -> "GramMatrix":
-        return GramMatrix(tuple(map(tuple, rows)))
 
     @property
     def rank(self) -> int:
@@ -162,7 +160,7 @@ def _changemakers(
 ) -> Iterator[tuple[int, ...]]:
     """The changemakers of `enumerate_changemakers`, in the same order, as
     tuples; with `short`, only those whose complement has exactly short[0]
-    vectors of norm 1 and short[1] of norm 2 (see _complement_short_counts).
+    vectors of norm 1 and short[1] of norm 2 (see _complement_counts).
 
     A nondecreasing sigma has its z = short[0] / 2 zeros as a prefix, so the
     entries before position z are 0 and the rest are positive.  Its nonzero
@@ -171,20 +169,25 @@ def _changemakers(
     exceeds (short[1] - 4 C(z, 2)) / 2 is cut, as is one whose sum cannot
     reach it even if every later entry joins its last block.
 
-    The last three entries c <= a <= b are placed by one loop (for length 2,
-    c is an empty entry 0 before the vector).  With S the sum of the entries
-    before c and r the norm they leave, a triple completes the prefix to a
-    changemaker of norm `norm` exactly when c <= S + 1, a <= S + c + 1,
-    b <= S + c + a + 1 and a^2 + b^2 = r - c^2; then 3 c^2 <= r.  So c runs
-    from the least value the prefix and the zero rule allow to
-    min(S + 1, isqrt(r // 3)), and (a, b) over the representations of
-    r - c^2 as a sum of two squares with a <= b (memoized per call), kept
-    when they meet the inequalities, the zero rule for a (b > 0 always, as
-    norm >= 1 and z < length) and the exact block count.  That is every
-    changemaker with this prefix, in lex order, and no frame is opened for
-    a pair that cannot exist.  A c larger than the entry before it starts a
-    block, which leaves the block count the same for every such c; so when
-    that count cannot reach the target at one c, no larger c is tried.
+    One loop places each entry v in turn.  With S the sum of the entries
+    before v, r the norm they leave and `slots` entries after v, a
+    changemaker needs v <= S + 1; every later entry is >= v, so r - v^2 >=
+    slots v^2, that is v <= isqrt(r // (slots + 1)).  The k-th later entry
+    is at most 2^(k-1) (S + v + 1), so their squares sum to at most
+    (S + v + 1)^2 (4^slots - 1) / 3; as r - v^2 falls and S + v + 1 grows
+    with v, the v for which that bound reaches r - v^2 end the range, and v
+    starts at the least of them.  A v larger than the entry before it
+    starts a block, which leaves the block count the same for every such v;
+    so when that count cannot reach the target at one v, no larger v is
+    tried.  When two entries a <= b remain after v, they complete the
+    prefix to a changemaker of norm `norm` exactly when v <= a <= S + v + 1,
+    b <= S + v + a + 1 and a^2 + b^2 = r - v^2; so the loop places them
+    inline, with no frame, from the representations of r - v^2 as a sum of
+    two squares with a <= b (memoized per call) that meet the inequalities,
+    the zero rule for a (b > 0 always, as norm >= 1 and z < length) and the
+    exact block count.  Length 2 enters at position -1, before zlo, so v is
+    an empty entry 0 before the vector; it lands in the last slot of sig,
+    which is never yielded.
     """
     if norm > changemaker_max_norm(length):
         return
@@ -211,62 +214,47 @@ def _changemakers(
         # prev: the entry before position i (0 at the start); pairs: sum
         # C(m, 2) over the nonzero blocks so far; run: length of the nonzero
         # block that ends the prefix (0 after a zero entry)
-        lo = max(prev, 1) if i >= zhi else prev
-        if i == length - 3:
-            # c = sigma_i, then (a, b) = the last two entries.  For length 2,
-            # i = -1 < zlo forces c = 0, the empty entry before the vector;
-            # it lands in the last slot of sig, which is never yielded.
-            hi = 0 if i < zlo else min(prefix_sum + 1, isqrt(rem // 3))
-            alo = 1 if i + 1 >= zhi else 0
-            for c in range(lo, hi + 1):
-                cpairs, crun = (pairs + run, run + (c > 0)) if c == prev else (pairs, 1)
-                # a and b add at most crun and crun + 1 pairs
-                if cpairs > phi or cpairs + 2 * crun + 1 < plo:
-                    if c > prev:
-                        break  # the same for every larger c, which starts a block too
-                    continue
-                rest = rem - c * c
-                reps = two_squares.get(rest)
-                if reps is None:
-                    if rest > 5 * (prefix_sum + c + 1) ** 2:
-                        continue  # a <= S + c + 1 and b <= 2 (S + c + 1): no fill
-                    reps = two_squares[rest] = []
-                    # squares are 0 or 1 mod 4, so no sum of two is 3 mod 4
-                    for a in range(isqrt(rest // 2) + 1 if rest % 4 != 3 else 0):
-                        b = isqrt(rest - a * a)
-                        if b * b == rest - a * a:
-                            reps.append((a, b))
-                if not reps:
-                    continue
-                ahi = 0 if i + 1 < zlo else prefix_sum + c + 1
-                sig[i] = c
-                for a, b in reps:
-                    if a > ahi:
-                        break
-                    if a < c or a < alo or b > prefix_sum + c + a + 1:
-                        continue
-                    npairs, nrun = (cpairs + crun, crun + (a > 0)) if a == c else (cpairs, 1)
-                    if b == a:
-                        npairs += nrun
-                    if plo <= npairs <= phi:
-                        yield (*sig[: i + 1], a, b)
-            return
-        hi = 0 if i < zlo else min(prefix_sum + 1, isqrt(rem))
         slots = length - i - 1  # entries after this one
+        lo = max(prev, 1) if i >= zhi else prev
+        hi = 0 if i < zlo else min(prefix_sum + 1, isqrt(rem // (slots + 1)))
         doubling = changemaker_max_norm(slots)
         joined = comb(slots, 2)  # pairs among later entries in one block
+        while lo <= hi and rem - lo * lo > (prefix_sum + lo + 1) ** 2 * doubling:
+            lo += 1  # even doubling growth cannot reach the norm
         for v in range(lo, hi + 1):
             nrem = rem - v * v
-            if nrem < slots * v * v:
-                break  # later entries are all >= v; worse for every larger v
-            if nrem > (prefix_sum + v + 1) ** 2 * doubling:
-                continue  # even doubling growth cannot reach the norm
             npairs, nrun = (pairs + run, run + (v > 0)) if v == prev else (pairs, 1)
             # the t-th later entry adds at most nrun + t pairs
             if npairs > phi or npairs + slots * nrun + joined < plo:
+                if v > prev:
+                    break  # the same for every larger v, which starts a block too
                 continue
             sig[i] = v
-            yield from rec(i + 1, v, prefix_sum + v, nrem, npairs, nrun)
+            if slots > 2:
+                yield from rec(i + 1, v, prefix_sum + v, nrem, npairs, nrun)
+                continue
+            reps = two_squares.get(nrem)
+            if reps is None:
+                reps = two_squares[nrem] = []
+                # squares are 0 or 1 mod 4, so no sum of two is 3 mod 4
+                for a in range(isqrt(nrem // 2) + 1 if nrem % 4 != 3 else 0):
+                    b = isqrt(nrem - a * a)
+                    if b * b == nrem - a * a:
+                        reps.append((a, b))
+            if not reps:
+                continue
+            ahi = 0 if i + 1 < zlo else prefix_sum + v + 1
+            alo = max(v, 1) if i + 1 >= zhi else v
+            for a, b in reps:
+                if a > ahi:
+                    break
+                if a < alo or b > prefix_sum + v + a + 1:
+                    continue
+                apairs, arun = (npairs + nrun, nrun + (a > 0)) if a == v else (npairs, 1)
+                if b == a:
+                    apairs += arun
+                if plo <= apairs <= phi:
+                    yield (*sig[: i + 1], a, b)
 
     yield from rec(min(0, length - 3), 0, 0, norm, 0, 0)
 
@@ -375,8 +363,9 @@ def _vector_counts(u: list[list[int]], top: int) -> list[int]:
     return counts
 
 
-def _complement_short_counts(entries: tuple[int, ...], top: int = 3) -> tuple[int, ...]:
-    """Numbers of vectors of norm 1 to top (3 or 4) orthogonal to sigma in Z^d.
+def _complement_counts(entries: tuple[int, ...]) -> Iterator[int]:
+    """Numbers of vectors of norm 1, 2, 3 and 4 orthogonal to sigma in Z^d,
+    in turn; each is computed only when the one before it has been taken.
 
     With z zero entries, nonzero blocks of equal entries of sizes m and
     P = sum C(m, 2), the vectors, with entries +-1 or a single +-2, are:
@@ -408,7 +397,9 @@ def _complement_short_counts(entries: tuple[int, ...], top: int = 3) -> tuple[in
     for v in entries:
         mult[v] = mult.get(v, 0) + 1
     zeros = mult.pop(0, 0)
+    yield 2 * zeros
     pairs = sum(comb(m, 2) for m in mult.values())
+    yield 4 * comb(zeros, 2) + 2 * pairs
     sums: dict[int, int] = {}  # c_s
     values = sorted(mult)
     for i, u in enumerate(values):
@@ -416,22 +407,14 @@ def _complement_short_counts(entries: tuple[int, ...], top: int = 3) -> tuple[in
         for w in values[i + 1 :]:
             sums[u + w] = sums.get(u + w, 0) + mult[u] * mult[w]
     triples = sum(m * sums.get(v, 0) for v, m in mult.items())
-    counts = (
-        2 * zeros,
-        4 * comb(zeros, 2) + 2 * pairs,
-        8 * comb(zeros, 3) + 4 * zeros * pairs + 2 * triples,
-    )
-    if top == 3:
-        return counts
+    yield 8 * comb(zeros, 3) + 4 * zeros * pairs + 2 * triples
     q22 = sum(comb(c, 2) for c in sums.values()) - (len(entries) - zeros - 2) * pairs
     q13 = sum(
         mw * mv * (sums.get(w - v, 0) - mult.get(w - 2 * v, 0) + (3 * v == w))
         for w, mw in mult.items() for v, mv in mult.items()
     ) // 3
-    return counts + (
-        2 * zeros + 16 * comb(zeros, 4) + 8 * comb(zeros, 2) * pairs
-        + 4 * zeros * triples + 2 * (q13 + q22),
-    )
+    yield (2 * zeros + 16 * comb(zeros, 4) + 8 * comb(zeros, 2) * pairs
+           + 4 * zeros * triples + 2 * (q13 + q22))
 
 
 def _index_fit(det: int, norm: int) -> Callable[[int, int], bool] | None:
@@ -454,20 +437,17 @@ def _index_fit(det: int, norm: int) -> Callable[[int, int], bool] | None:
 
 
 def _counts_admit(
-    short: tuple[int, ...], sigma: Changemaker, fits: Callable[[int, int], bool],
-    norm4: int | None = None,
+    counts: tuple[int, ...], sigma: Changemaker, fits: Callable[[int, int], bool]
 ) -> bool:
     """Necessary condition for L = (Z^n, -G) to embed in sigma's complement,
-    given ``fits = _index_fit(|det G|, sigma.norm)``, which the caller
-    decides once per query and which is not None: L's numbers of vectors of
-    norm 1 to 3, `short`, and of norm 4 when L's norm-4 count `norm4` is
-    given, must fit those of the complement.  The norm-4 count is asked for
-    only when norms 1 to 3 fit: most sigma fail at norm 3, and their norm-4
-    closed form would cost about as much again.
+    given ``fits = _index_fit(|det G|, sigma.norm)``, decided once per query
+    and not None: L's numbers of vectors of norm 1, 2, ..., `counts`, fit
+    the complement's, norm by norm.  `counts` holds norms 1 to 3, widened to
+    norm 4 after a failed search (see ``changemaker_obstruction``).  The
+    test stops at the first misfit, so the complement's norm-4 closed form
+    runs only when norms 1 to 3 fit: most sigma fail at norm 3.
     """
-    if not all(map(fits, short, _complement_short_counts(sigma.entries))):
-        return False
-    return norm4 is None or fits(norm4, _complement_short_counts(sigma.entries, 4)[3])
+    return all(map(fits, counts, _complement_counts(sigma.entries)))
 
 
 def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | None:
@@ -662,10 +642,11 @@ def changemaker_obstruction(
     skips every sigma without them (see ``_changemakers``).  Otherwise every
     changemaker is enumerated, and each meets the count conditions of
     ``embed_in_complement``.
-    Once a search has failed, L's norm-4 vectors are counted, once, and
-    later sigma must pass the norm-4 counts too.  That count can take over
-    ten times as long as the norm <= 3 counts (the rank-30 form -I has 438,540
-    vectors of norm 4), which a query whose first search succeeds never pays.
+    After the first failed search, `counts` widens to norm 4: L's vectors
+    are counted once more, to norm 4, and later sigma must fit that count
+    too.  It can take ten times as long as the norm <= 3 counts (the rank-30
+    form -I has 438,540 vectors of norm 4); a first search that succeeds
+    never pays it.
     Every step reads the one elimination that proved G definite when it
     was built, where G's rank was capped too; none eliminates G again, and
     only the linking form eliminates its cofactors.  p < 1 raises
@@ -679,19 +660,18 @@ def changemaker_obstruction(
     if fits is None or (fits is eq and not _linking_form_admits(gram)):
         return ObstructionResult("obstructed", ())
     found = []
-    short = _short_counts(gram)
-    norm4 = None  # L's number of norm-4 vectors, counted once a search fails
-    for entries in _changemakers(gram.rank + 1, p, short if fits is eq else None):
+    counts = _short_counts(gram)
+    for entries in _changemakers(gram.rank + 1, p, counts if fits is eq else None):
         sigma = Changemaker(entries)
-        if not _counts_admit(short, sigma, fits, norm4):
+        if not _counts_admit(counts, sigma, fits):
             continue
         emb = _first_embedding(gram, sigma)
         if emb is not None:
             found.append(emb)
             if not all_witnesses:
                 break
-        elif norm4 is None:
-            norm4 = _vector_counts(gram._rows, 4)[4]
+        elif len(counts) == 3:
+            counts = tuple(_vector_counts(gram._rows, 4)[1:])
     if found:
         return ObstructionResult("witness", tuple(found))
     return ObstructionResult("obstructed", ())
@@ -725,4 +705,4 @@ def parse_gram_text(text: str) -> GramMatrix:
         if len(row) != n:
             raise ValueError(f"expected {n} entries per row, got {len(row)}")
         rows.append(row)
-    return GramMatrix.from_rows(rows)
+    return GramMatrix(rows)

@@ -5,10 +5,12 @@
 bench module is imported; pytest does not collect this file.  Run as
 ``python3 tests/golden_cli.py``, it runs the installed ``obstruct`` console
 script on every row from the checkout root, names each row whose stdout
-differs from its golden file, and exits 1 if any does."""
+differs from its golden file, and exits 1 if any does; it exits 2 when no
+``obstruct`` script is on PATH."""
 
 import ast
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +49,9 @@ def lattice_search_jobs():
 
 
 if __name__ == "__main__":
+    if shutil.which("obstruct") is None:
+        print("no `obstruct` console script on PATH: run `pip install -e .` first")
+        sys.exit(2)
     rows = cli_commands()
     differ = []
     for name, argv in rows:

@@ -113,16 +113,27 @@ MUTANTS = (
     Mutant("eleven-bases-past-psi_9", NT,
            "if n < bound), len(_MR_BASES))", "if n < bound), len(_MR_BASES) - 1)",
            (T_NT + "test_is_prime_bounds_are_psi_k",)),
-    # lattice: the norm-4 closed form, the last three entries of the enumeration
-    # and the norm bound before the Gram facts
+    # lattice: the norm-4 closed form, the enumeration's entry bounds and
+    # block-count cut, and the norm bound before the Gram facts
     Mutant("norm4-closed-form-without-q22", LA,
            "2 * (q13 + q22)", "2 * q13",
            (T_LA + "test_obstruction_results",
             T_LA + "test_complement_norm4_count_against_brute_force")),
-    Mutant("enumeration-stops-at-a=S+c+1", LA,
-           "                    if a > ahi:\n", "                    if a >= ahi:\n",
+    Mutant("enumeration-stops-at-a=S+v+1", LA,
+           "                if a > ahi:\n", "                if a >= ahi:\n",
            (T_LA + "test_enumeration_examples",
             T_LA + "test_enumeration_matches_brute_force")),
+    Mutant("enumeration-entry-bound-slots+2", LA,
+           "isqrt(rem // (slots + 1))", "isqrt(rem // (slots + 2))",
+           (T_LA + "test_enumeration_matches_brute_force",)),
+    Mutant("enumeration-doubling-bound-strict", LA,
+           "rem - lo * lo > (prefix_sum + lo + 1) ** 2 * doubling",
+           "rem - lo * lo >= (prefix_sum + lo + 1) ** 2 * doubling",
+           (T_LA + "test_max_norm_bound_attained",)),
+    Mutant("enumeration-block-count-break-for-every-v", LA,
+           "                if v > prev:\n                    break",
+           "                if True:\n                    break",
+           (T_LA + "test_enumeration_digest",)),
     Mutant("norm-bound-obstructs-at-the-bound", LA,
            "if p > changemaker_max_norm(gram.rank + 1):",
            "if p >= changemaker_max_norm(gram.rank + 1):",

@@ -13,7 +13,7 @@ from obstruct import manifolds as mf
 from obstruct import numtheory as nt
 
 # the Goeritz form of L35's white checkerboard graph, as in bench/data/gd.txt
-GD = la.GramMatrix.from_rows(
+GD = la.GramMatrix(
     [
         [-4, 2, 1, 0, 0, 0],
         [2, -5, 1, 0, 1, 1],

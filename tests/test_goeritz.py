@@ -34,11 +34,11 @@ def test_l35_white_graph_matrix():
 
 
 def test_det_h1_order():
-    assert go.det_h1_order(la.GramMatrix.from_rows([[-1]])) == 1
+    assert go.det_h1_order(la.GramMatrix([[-1]])) == 1
     assert go.det_h1_order(GD) == 226
     assert go.det_h1_order(go.family_2odd_2odd(1, 1)) == 35
     with pytest.raises(ValueError, match="negative definite"):
-        go.det_h1_order(la.GramMatrix.from_rows([[0]]))
+        go.det_h1_order(la.GramMatrix([[0]]))
 
 
 def test_family_matrix_entries():
