@@ -207,6 +207,9 @@ def _changemakers(
         return
     sig = [0] * length
     two_squares: dict[int, list[tuple[int, int]]] = {}
+    # by the number of later entries: their doubling bound, their one-block pairs
+    doubling = [changemaker_max_norm(s) for s in range(length + 1)]
+    joined = [comb(s, 2) for s in range(length + 1)]
 
     def rec(
         i: int, prev: int, prefix_sum: int, rem: int, pairs: int, run: int
@@ -217,15 +220,13 @@ def _changemakers(
         slots = length - i - 1  # entries after this one
         lo = max(prev, 1) if i >= zhi else prev
         hi = 0 if i < zlo else min(prefix_sum + 1, isqrt(rem // (slots + 1)))
-        doubling = changemaker_max_norm(slots)
-        joined = comb(slots, 2)  # pairs among later entries in one block
-        while lo <= hi and rem - lo * lo > (prefix_sum + lo + 1) ** 2 * doubling:
+        while lo <= hi and rem - lo * lo > (prefix_sum + lo + 1) ** 2 * doubling[slots]:
             lo += 1  # even doubling growth cannot reach the norm
         for v in range(lo, hi + 1):
             nrem = rem - v * v
             npairs, nrun = (pairs + run, run + (v > 0)) if v == prev else (pairs, 1)
             # the t-th later entry adds at most nrun + t pairs
-            if npairs > phi or npairs + slots * nrun + joined < plo:
+            if npairs > phi or npairs + slots * nrun + joined[slots] < plo:
                 if v > prev:
                     break  # the same for every larger v, which starts a block too
                 continue
@@ -321,8 +322,6 @@ def _linking_form_admits(gram: GramMatrix) -> bool:
         return _positive_elimination([[g[r][k] for k in keep] for r in keep])[-1][-1]
 
     for q, e in _split(p):
-        if e == 0:
-            continue  # a cofactor of p, yielded before it is proved or split
         c = next((c for c in map(cofactor, range(n - 1, -1, -1)) if c % q), None)
         if c is None or _sqrt_mod_prime_power(-c, q, e) is None:
             return False

@@ -208,18 +208,17 @@ class Factorization(Record):
 
 
 def _split(n: int) -> Iterator[tuple[int, int]]:
-    """Each prime p of n >= 1 once, as (p, e) with e its full exponent: the
-    primes below _TRIAL_LIMIT ascending, then the larger ones.  Each cofactor
-    c > 1 with no prime below _TRIAL_LIMIT is first yielded as (c, 0), before
-    it is proved or split, so a caller can stop at c.
+    """Each prime p of n >= 1 once, as (p, e) with e >= 1 its full exponent:
+    the primes below _TRIAL_LIMIT ascending, then the larger ones.
 
-    g = gcd(n, _TRIAL_PRODUCT) is the product of the distinct primes below
-    _TRIAL_LIMIT that divide n; once p^2 > g and g has no prime below p, g
-    is 1 or a prime.  A popped cofactor is cut to its gcd with what is left
-    of n, and each prime taken is divided out of n as often as it goes, so no
-    prime is proved twice.  A cofactor c < _TRIAL_LIMIT^2 is prime, since a
-    composite has a prime factor at most its square root; a larger c is
-    proved by :func:`is_prime` or split by Pollard rho.
+    g = gcd(n, _TRIAL_PRODUCT) is the product of n's distinct primes below
+    _TRIAL_LIMIT; once p^2 > g and g has no prime below p, g is 1 or a
+    prime.  One stack loop pops the primes taken from g ascending, then g,
+    then n, each cut to its gcd c with what is left of n; each prime is
+    divided out of n as often as it goes, so none is proved twice and no c
+    popped after g has a prime below _TRIAL_LIMIT.  So a c < _TRIAL_LIMIT^2
+    is prime, as a composite has a prime factor at most its square root; a
+    larger c is proved by :func:`is_prime` or split by Pollard rho.
     """
     g = gcd(n, _TRIAL_PRODUCT)
     small = []
@@ -229,20 +228,11 @@ def _split(n: int) -> Iterator[tuple[int, int]]:
         if g % p == 0:
             g //= p
             small.append(p)
-    if g > 1:
-        small.append(g)
-    for p in small:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        yield p, e
-    stack = [n] if n > 1 else []
+    stack = [n, g, *reversed(small)]
     while stack:
         c = gcd(stack.pop(), n)
         if c == 1:
             continue
-        yield c, 0
         if c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
             e = 0
             while n % c == 0:
@@ -256,16 +246,16 @@ def _split(n: int) -> Iterator[tuple[int, int]]:
 
 @lru_cache(maxsize=4)
 def factor(n: int) -> Factorization:
-    """Complete prime factorization of n >= 1, by :func:`_split`: one gcd
-    finds the primes below 4096, then Miller-Rabin, with as many bases as
-    each cofactor's size needs, and Pollard rho.  Results are immutable.  No
-    library path calls it; the cache of the last four stays only because the
-    benchmark reads its ``cache_info()``.
+    """Complete prime factorization of n >= 1: the primes of :func:`_split`,
+    sorted.  One gcd finds the primes below 4096, then Miller-Rabin, with as
+    many bases as each larger entry's size needs, and Pollard rho.  Results
+    are immutable.  No library path calls it; the cache of the last four
+    stays only because the benchmark reads its ``cache_info()``.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     _check_width(n)
-    return Factorization(n, tuple(sorted((p, e) for p, e in _split(n) if e)))
+    return Factorization(n, tuple(sorted(_split(n))))
 
 
 def _jacobi(a: int, m: int) -> int:
@@ -369,9 +359,9 @@ def _square_roots_mod(residues: Sequence[int], n: int) -> list[int | None]:
     gcd(a, m) = 1, a is then a nonzero square modulo every prime p of m, so
     each Legendre factor (a / p) is +1, and when gcd(a, m) > 1 some factor
     is 0.  The residues left share one walk of :func:`_split`, which yields
-    each prime p of n once with its full exponent e: each live residue is
-    rooted mod p^e (:func:`_sqrt_mod_prime_power`) and joined to its root so
-    far by the CRT, and a residue without a root mod p^e is not a square.
+    each prime p of n once with its full exponent e >= 1: each live residue
+    is rooted mod p^e (:func:`_sqrt_mod_prime_power`) and joined to its root
+    so far by the CRT, and a residue without a root mod p^e is not a square.
     The loop breaks once no residue is live, which drops the walk, so the
     rest of n is not split.  The CRT root mod n does not depend on the order
     of the primes.
@@ -382,8 +372,6 @@ def _square_roots_mod(residues: Sequence[int], n: int) -> list[int | None]:
     live = [i for i, x in enumerate(roots) if x is not None]
     mod = 1
     for p, e in _split(n) if live else ():
-        if e == 0:
-            continue  # a cofactor, yielded before it is proved or split
         pe = p**e
         inv = pow(mod, -1, pe)
         for i in live:
@@ -399,9 +387,10 @@ def _square_roots_mod(residues: Sequence[int], n: int) -> list[int | None]:
 def _odd_divisors_one_mod(d: int, modulus: int) -> bool:
     """True iff every odd prime divisor of d >= 1 is 1 mod modulus.
 
-    Early-exits on the first bad prime.  A product of integers that are
-    1 mod modulus is itself 1 mod modulus, so d's odd part, or a cofactor, in
-    any other class must contain a bad prime: we stop there without a split.
+    Odd integers 1 mod modulus are closed under products and exact quotients,
+    so a d whose odd part is in another class is rejected without a walk;
+    else the walk of :func:`_split` stops at the first bad prime.  When the
+    primes below _TRIAL_LIMIT are good, so is the cofactor they leave.
     """
     odd = d >> ((d & -d).bit_length() - 1)
     return odd % modulus == 1 and all(p == 2 or p % modulus == 1 for p, _ in _split(d))

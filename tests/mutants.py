@@ -77,13 +77,18 @@ MUTANTS = (
            "        if not live:\n            break\n", "",
            (T_MF + "test_verdict_walks_n_once_and_splits_only_while_a_sign_lives",)),
     # each prime once from _split: same output without the gcd, but a prime
-    # that Pollard rho returns twice is proved twice
+    # that Pollard rho returns twice is proved twice; without the leftover
+    # small prime g on the stack, n = 75 yields (25, 1)
     Mutant("split-cofactor-without-gcd-with-rest", NT,
            "c = gcd(stack.pop(), n)", "c = stack.pop()",
            (T_NT + "test_split_yields_each_prime_once",)),
     Mutant("split-exponent-counted-with-if", NT,
            "            while n % c == 0:\n", "            if n % c == 0:\n",
            (T_NT + "test_square_root_mod_large_n_digest",)),
+    Mutant("split-without-leftover-small-prime", NT,
+           "stack = [n, g, *reversed(small)]", "stack = [n, *reversed(small)]",
+           (T_NT + "test_split_yields_each_prime_once",
+            T_NT + "test_factor_matches_trial_division")),
     # the density sieves: Sprime's primes to isqrt(limit + 1) and its 2-adic
     # progressions, S's large primes stored by index and its clears chunked
     Mutant("sprime-sieve-to-isqrt-limit", NT,
@@ -100,10 +105,7 @@ MUTANTS = (
     Mutant("s-unchunked-clear-past-the-segment", NT,
            "elif limit < p * _SEGMENT:", "elif True:",
            (T_NT + "test_s_density_clears_from_one_segment",)),
-    # factoring: the trial gcd, the prime cofactor bound, the Miller-Rabin bases
-    Mutant("trial-gcd-drops-last-prime", NT,
-           "    if g > 1:\n        small.append(g)\n", "",
-           (T_NT + "test_factor_matches_trial_division",)),
+    # factoring: the prime cofactor bound, the Miller-Rabin bases
     Mutant("cofactor-below-4096^3-trusted", NT,
            "if c < _TRIAL_LIMIT * _TRIAL_LIMIT or", "if c < _TRIAL_LIMIT**3 or",
            (T_NT + "test_square_root_mod_large_n_digest",)),
@@ -191,7 +193,6 @@ MUTANTS = (
            (T_PK + "test_unknown_name_raises_attribute_error",)),
     # Equivalent mutants, which no test can kill:
     # - `p * p >= g` for `p * p > g` in _split: g is squarefree, so never p^2;
-    # - _split without its (c, 0) entries: they only let a caller stop early;
     # - the package's __getattr__ without `globals()[name] = value`: the
     #   binding only spares later reads a call.
 )

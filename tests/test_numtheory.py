@@ -108,13 +108,9 @@ def test_factor_digest():
     assert digest == "e6d5fae95bbb5a9e117323a4ca2ab3aba74c2da5d8d1c2d248ef7aa398616bf6"
 
 
-def test_split_yields_each_prime_once(monkeypatch):
-    """The contract of the one factoring walk, on n <= 10^5, the 63-bit sample
-    and n = p^k q^j with p, q >= 4096 and k, j <= 3: the nonzero entries are
-    distinct primes whose powers multiply to n; each (c, 0) entry is c > 1
-    with no prime below 4096 and divides what is left of n; and no prime at
-    least 4096^2 is passed to is_prime twice, although Pollard rho can
-    return one more than once."""
+def split_inputs():
+    """n <= 10^5, the 63-bit sample and n = p^k q^j with p, q >= 4096 and
+    k, j <= 3."""
     rng = random.Random(25)
     powers = []
     for lo, hi in ((4096, 2**16), (4096**2, 2**26)):
@@ -122,6 +118,24 @@ def test_split_yields_each_prime_once(monkeypatch):
             for j in range(1, 4):
                 p, q = prime_in(rng, lo, hi), prime_in(rng, 4096, hi)
                 powers.append(p**k * q**j if p != q else p**k)
+    return [*range(1, 10**5 + 1), *sample_63_bit(), *powers]
+
+
+def test_split_yields_primes_small_first():
+    """Every entry of the walk is a prime with exponent e >= 1, and the
+    primes below 4096 come first, ascending."""
+    for n in split_inputs():
+        entries = list(nt._split(n))
+        assert all(e >= 1 and oracles.is_prime(p) for p, e in entries), (n, entries)
+        small = [p for p, _ in entries if p < 4096]
+        assert [p for p, _ in entries[: len(small)]] == sorted(small), (n, entries)
+
+
+def test_split_yields_each_prime_once(monkeypatch):
+    """The contract of the one factoring walk, on :func:`split_inputs`: the
+    entries are distinct primes whose powers multiply to n, and no prime at
+    least 4096^2 is passed to is_prime twice, although Pollard rho can
+    return one more than once."""
     proved, rho = [], []
 
     def recording(calls, f):
@@ -130,17 +144,13 @@ def test_split_yields_each_prime_once(monkeypatch):
     monkeypatch.setattr(nt, "is_prime", recording(proved, nt.is_prime))
     monkeypatch.setattr(nt, "_pollard_rho", recording(rho, nt._pollard_rho))
     repeated_big = 0
-    for n in [*range(1, 10**5 + 1), *sample_63_bit(), *powers]:
+    for n in split_inputs():
         proved.clear()
-        rest, product, primes = n, 1, set()
+        product, primes = 1, set()
         for c, e in nt._split(n):
-            if e == 0:
-                assert c > 1 and nt.gcd(c, nt._TRIAL_PRODUCT) == 1 and rest % c == 0, (n, c)
-                continue
             assert c not in primes and oracles.is_prime(c), (n, c)
             primes.add(c)
             product *= c**e
-            rest //= c**e
             repeated_big += e > 1 and c >= 4096**2
         assert product == n, n
         big = [c for c in proved if c >= 4096**2 and oracles.is_prime(c)]
