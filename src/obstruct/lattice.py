@@ -436,17 +436,17 @@ def _index_fit(det: int, norm: int) -> Callable[[int, int], bool] | None:
 
 
 def _counts_admit(
-    counts: tuple[int, ...], sigma: Changemaker, fits: Callable[[int, int], bool]
+    counts: tuple[int, ...], sigma: tuple[int, ...], fits: Callable[[int, int], bool]
 ) -> bool:
-    """Necessary condition for L = (Z^n, -G) to embed in sigma's complement,
-    given ``fits = _index_fit(|det G|, sigma.norm)``, decided once per query
-    and not None: L's numbers of vectors of norm 1, 2, ..., `counts`, fit
-    the complement's, norm by norm.  `counts` holds norms 1 to 3, widened to
-    norm 4 after a failed search (see ``changemaker_obstruction``).  The
-    test stops at the first misfit, so the complement's norm-4 closed form
-    runs only when norms 1 to 3 fit: most sigma fail at norm 3.
-    """
-    return all(map(fits, counts, _complement_counts(sigma.entries)))
+    """Necessary condition for L = (Z^n, -G) to embed in the complement of
+    the changemaker with entries `sigma`, given ``fits = _index_fit(|det G|,
+    |sigma|^2)``, decided once per query and not None: L's numbers of
+    vectors of norm 1, 2, ..., `counts`, fit the complement's, norm by norm.
+    `counts` holds norms 1 to 3, widened to norm 4 after a failed search
+    (see ``changemaker_obstruction``).  The test stops at the first misfit,
+    so the complement's norm-4 closed form runs only when norms 1 to 3 fit:
+    most sigma fail at norm 3."""
+    return all(map(fits, counts, _complement_counts(sigma)))
 
 
 def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | None:
@@ -465,71 +465,73 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     count can cost more than a search (see ``changemaker_obstruction``).
     The linking form is not tested here, so this search stays the slow path
     that ``changemaker_obstruction``'s linking-form test is checked against.
-    Vectors are filled in increasing order of the Gram diagonal; coordinates
-    are processed from the largest sigma entry down; candidate values run
-    from high to low, so the embedding returned is canonical and
-    deterministic.
-    """
+    Vectors are filled in increasing order of the Gram diagonal, each with
+    the canonical-form state of the vectors before it, built once per filled
+    vector (see ``_first_embedding``); coordinates are processed from the
+    largest sigma entry down; candidate values run from high to low, so the
+    embedding returned is canonical and deterministic."""
     d = gram.rank + 1
     if len(sigma) != d:
         raise ValueError(f"sigma must have length {d}, got {len(sigma)}")
     if sigma.norm == 0:
         return None  # the zero vector spans nothing; full rank is impossible
     fits = _index_fit(abs(gram.determinant()), sigma.norm)
-    if fits is None or not _counts_admit(_short_counts(gram), sigma, fits):
+    if fits is None or not _counts_admit(_short_counts(gram), sigma.entries, fits):
         return None
-    return _first_embedding(gram, sigma)
+    return _first_embedding(gram, sigma.entries)
 
 
-def _first_embedding(gram: GramMatrix, sigma: Changemaker) -> Embedding | None:
-    """``embed_in_complement`` for a nonzero sigma of length rank + 1 that
-    ``_counts_admit``.  ``fill(t)`` returns the first embedding extending
-    the vectors filled so far, or None.  It sets vector t's coordinates,
-    largest sigma entry first, with an explicit stack, so the Python stack
-    grows by one frame per vector, and calls fill(t + 1) per candidate."""
+def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | None:
+    """``embed_in_complement`` for the entries of a nonzero changemaker
+    sigma of length rank + 1 that ``_counts_admit``.  Each vector's norm and
+    its pairings with the vectors before it are read from G once per search.
+    ``fill(t, tied, free)`` returns the first embedding extending the
+    vectors filled so far, or None.  It sets vector t's coordinates, largest
+    sigma entry first, with an explicit stack, so the Python stack grows by
+    one frame per vector, and calls fill(t + 1) per candidate.  Its two rows
+    are built once per filled vector, from the parent's rows and the vector
+    just filled: tied[j] when sigma_j = sigma_(j-1) and rows j - 1 and j
+    agree on every filled vector, free[j] when sigma_j = 0 and row j is 0 on
+    every filled vector.  A tied coordinate takes no value above the one
+    before it and a free one no negative value, so rows stay sorted within
+    blocks and a zero row's first nonzero entry is positive: the search is
+    complete up to the symmetries fixing sigma.
+    The last coordinate takes only +-isqrt(rem), and only when rem is a
+    square, so the norm left is 0; the suffix norms suf_sig2[d] and
+    sufv[s][d] are 0 too, so the Cauchy-Schwarz cuts pass only a zero dot
+    with sigma and need = 0 for every pairing.  A completed vector thus has
+    its norm, pairings and orthogonality, with no test of its own."""
     n = gram.rank
     d = n + 1
 
     g = gram.entries
     order = sorted(range(n), key=lambda i: -g[i][i])  # by norm, then by index
-    sig = sigma.entries[::-1]  # largest sigma entries first
+    facts = [(-g[i][i], [-g[i][k] for k in order[:t]]) for t, i in enumerate(order)]
+    sig = sigma[::-1]  # largest sigma entries first
     suf_sig2 = list(accumulate((x * x for x in reversed(sig)), initial=0))[::-1]
 
     vecs: list[tuple[int, ...]] = []  # in fill order, in reversed coordinates
     sufv: list[list[int]] = []  # suffix norms of each filled vector
 
-    def fill(t: int) -> Embedding | None:
+    def fill(t: int, tied: list[bool], free: list[bool]) -> Embedding | None:
         if t == n:
             res: list[tuple[int, ...] | None] = [None] * n
             for s in range(n):
                 res[order[s]] = vecs[s][::-1]
-            emb = Embedding(sigma, tuple(res))  # type: ignore[arg-type]
+            emb = Embedding(Changemaker(sigma), tuple(res))  # type: ignore[arg-type]
             return emb if emb.verifies(gram) else None  # rank check; holds whenever G is definite
-        diag = -g[order[t]][order[t]]
-        offs = [-g[order[t]][order[s]] for s in range(t)]
+        diag, offs = facts[t]
         v = [0] * d
 
         def values(j: int, rem: int) -> list[int] | range:
             b = isqrt(rem)
-            hi, lo = b, -b
-            # Canonical form under block permutations: if this coordinate is
-            # interchangeable with the previous one (equal sigma entries) and
-            # the two rows agree on all filled vectors, keep rows sorted.
-            if j > 0 and sig[j - 1] == sig[j]:
-                if all(w[j - 1] == w[j] for w in vecs):
-                    hi = min(hi, v[j - 1])
-            # Canonical form under sign flips where sigma vanishes: the first
-            # nonzero entry of such a row must be positive.
-            if sig[j] == 0 and all(w[j] == 0 for w in vecs):
-                lo = max(lo, 0)
-            if j == d - 1:
-                # the last coordinate must absorb the whole remaining norm
-                if b * b != rem:
-                    return []
-                if b == 0:
-                    return [0] if lo <= 0 <= hi else []
-                return [x for x in (b, -b) if lo <= x <= hi]
-            return range(hi, lo - 1, -1)
+            hi = min(b, v[j - 1]) if tied[j] else b
+            lo = 0 if free[j] else -b
+            if j < d - 1:
+                return range(hi, lo - 1, -1)
+            if b * b != rem:
+                return []
+            return [x for x in ((b, -b) if b else (0,)) if lo <= x <= hi]
 
         # stack[j]: once coordinates 0..j-1 are set, the norm left, the dot
         # with sigma, the dots with the filled vectors and coordinate j's values
@@ -544,25 +546,22 @@ def _first_embedding(gram: GramMatrix, sigma: Changemaker) -> Embedding | None:
                 if nds * nds > suf_sig2[j + 1] * nrem:
                     continue
                 nd = []
-                ok = True
                 for s, w in enumerate(vecs):
                     x = dots[s] + val * w[j]
                     need = offs[s] - x
                     if need * need > sufv[s][j + 1] * nrem:
-                        ok = False
                         break
                     nd.append(x)
-                if not ok:
+                if len(nd) < t:  # a pairing can no longer be met
                     continue
                 v[j] = val
                 if j + 1 < d:
                     stack.append((nrem, nds, nd, iter(values(j + 1, nrem))))
                     break
-                if nrem != 0 or nds != 0 or nd != offs:
-                    continue
                 vecs.append(tuple(v))
                 sufv.append(list(accumulate((x * x for x in reversed(v)), initial=0))[::-1])
-                emb = fill(t + 1)
+                emb = fill(t + 1, [tj and v[j - 1] == v[j] for j, tj in enumerate(tied)],
+                           [f and x == 0 for f, x in zip(free, v)])
                 vecs.pop()
                 sufv.pop()
                 if emb is not None:
@@ -571,7 +570,7 @@ def _first_embedding(gram: GramMatrix, sigma: Changemaker) -> Embedding | None:
                 stack.pop()
         return None
 
-    return fill(0)
+    return fill(0, [j > 0 and sig[j - 1] == sig[j] for j in range(d)], [e == 0 for e in sig])
 
 
 class ObstructionResult(Record):
@@ -639,8 +638,9 @@ def changemaker_obstruction(
     matrix, ``_short_counts``).  At index 1, L would have exactly the
     complement's numbers of norm-1 and norm-2 vectors, and the enumeration
     skips every sigma without them (see ``_changemakers``).  Otherwise every
-    changemaker is enumerated, and each meets the count conditions of
-    ``embed_in_complement``.
+    changemaker is enumerated, as a tuple of entries, and each meets the
+    count conditions of ``embed_in_complement``; only a witness's sigma
+    becomes a ``Changemaker``.
     After the first failed search, `counts` widens to norm 4: L's vectors
     are counted once more, to norm 4, and later sigma must fit that count
     too.  It can take ten times as long as the norm <= 3 counts (the rank-30
@@ -660,8 +660,7 @@ def changemaker_obstruction(
         return ObstructionResult("obstructed", ())
     found = []
     counts = _short_counts(gram)
-    for entries in _changemakers(gram.rank + 1, p, counts if fits is eq else None):
-        sigma = Changemaker(entries)
+    for sigma in _changemakers(gram.rank + 1, p, counts if fits is eq else None):
         if not _counts_admit(counts, sigma, fits):
             continue
         emb = _first_embedding(gram, sigma)

@@ -46,6 +46,7 @@ MAX_INPUT = 2**63 - 1
 # One gcd finds every prime factor below this bound; a cofactor below its
 # square is then prime, and a larger one goes to Miller-Rabin / Pollard rho.
 _TRIAL_LIMIT = 4096
+_TRIAL_SQUARE = _TRIAL_LIMIT * _TRIAL_LIMIT
 
 # density() sieves an array of about limit bytes, so its limit is capped.
 MAX_DENSITY_LIMIT = 10**8
@@ -216,7 +217,7 @@ def _split(n: int) -> Iterator[tuple[int, int]]:
     prime.  One stack loop pops the primes taken from g ascending, then g,
     then n, each cut to its gcd c with what is left of n; each prime is
     divided out of n as often as it goes, so none is proved twice and no c
-    popped after g has a prime below _TRIAL_LIMIT.  So a c < _TRIAL_LIMIT^2
+    popped after g has a prime below _TRIAL_LIMIT.  So a c < _TRIAL_SQUARE
     is prime, as a composite has a prime factor at most its square root; a
     larger c is proved by :func:`is_prime` or split by Pollard rho.
     """
@@ -233,7 +234,7 @@ def _split(n: int) -> Iterator[tuple[int, int]]:
         c = gcd(stack.pop(), n)
         if c == 1:
             continue
-        if c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
+        if c < _TRIAL_SQUARE or is_prime(c):
             e = 0
             while n % c == 0:
                 n //= c

@@ -107,7 +107,7 @@ MUTANTS = (
            (T_NT + "test_s_density_clears_from_one_segment",)),
     # factoring: the prime cofactor bound, the Miller-Rabin bases
     Mutant("cofactor-below-4096^3-trusted", NT,
-           "if c < _TRIAL_LIMIT * _TRIAL_LIMIT or", "if c < _TRIAL_LIMIT**3 or",
+           "if c < _TRIAL_SQUARE or", "if c < _TRIAL_LIMIT**3 or",
            (T_NT + "test_square_root_mod_large_n_digest",)),
     Mutant("six-bases-below-psi_7", NT,
            "(341550071728321, 7)", "(341550071728321, 6)",
@@ -136,6 +136,23 @@ MUTANTS = (
            "                if v > prev:\n                    break",
            "                if True:\n                    break",
            (T_LA + "test_enumeration_digest",)),
+    # the embedding search: its canonical-form rows, its pairing cut, and the
+    # zero sigma, which has no index
+    Mutant("search-tied-row-ignores-filled-vector", LA,
+           "v[j - 1] == v[j]", "True",
+           (T_LA + "test_gd_embedding_found_and_verifies",)),
+    Mutant("search-free-row-ignores-filled-vector", LA,
+           "x == 0", "True",
+           (T_LA + "test_pruned_search_equals_naive_search",
+            T_LA + "test_complement_forms_always_embed")),
+    Mutant("search-pairing-cut-strict", LA,
+           "need * need > sufv[s][j + 1] * nrem", "need * need >= sufv[s][j + 1] * nrem",
+           (T_LA + "test_gd_embedding_found_and_verifies",)),
+    Mutant("zero-sigma-reaches-the-index-test", LA,
+           "    if sigma.norm == 0:\n"
+           "        return None  # the zero vector spans nothing; full rank is impossible\n",
+           "",
+           (T_LA + "test_zero_sigma_embeds_nothing",)),
     Mutant("norm-bound-obstructs-at-the-bound", LA,
            "if p > changemaker_max_norm(gram.rank + 1):",
            "if p >= changemaker_max_norm(gram.rank + 1):",

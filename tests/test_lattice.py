@@ -295,6 +295,13 @@ def test_embed_length_mismatch():
         la.embed_in_complement(GD, la.Changemaker((1, 1)))
 
 
+def test_zero_sigma_embeds_nothing():
+    """The zero changemaker spans nothing, so nothing embeds in its
+    complement with full rank; its norm 0 never reaches the index test,
+    which divides by it."""
+    assert la.embed_in_complement(GD, la.Changemaker((0,) * 7)) is None
+
+
 def test_embeddings_deterministic():
     a = la.changemaker_obstruction(go.family_2odd_2odd(1, 1), 35, all_witnesses=True)
     b = la.changemaker_obstruction(go.family_2odd_2odd(1, 1), 35, all_witnesses=True)
