@@ -642,6 +642,28 @@ def test_count_filter_agrees_with_unfiltered_search(monkeypatch):
     assert sum(r.status == "witness" for r in filtered) == 8
 
 
+def search_digest_forms():
+    """The seven lattice-search forms, then the 148 census forms."""
+    return [gram for gram, _ in lattice_search_forms()] + [
+        go.family_2odd_2odd(r.a, r.b) for r in mf.census_2odd(341)
+    ]
+
+
+def test_first_embedding_digest():
+    """Locks the first embedding, or None, that _first_embedding finds for
+    every sigma of length rank + 1 and norm |det| on the search-digest
+    forms: 6,963 searches, unfiltered, 8 of them with an embedding."""
+    locked = []
+    for gram in search_digest_forms():
+        for sigma in la._changemakers(gram.rank + 1, abs(gram.determinant())):
+            emb = la._first_embedding(gram, sigma)
+            locked.append([list(sigma), emb and [list(v) for v in emb.vectors]])
+    digest = hashlib.sha256(json.dumps(locked).encode()).hexdigest()
+    assert (len(locked), sum(e is not None for _, e in locked), digest) == (
+        6963, 8, "a1be8efc11246c609854d61d84f5f49dd8a378c090f25d3bada2c7351f7dbbe2",
+    )
+
+
 def test_norm4_count_after_first_failed_search(monkeypatch):
     """A lattice-search pass (the six fig3-black forms at p = |det|, then GD
     at 226 with all witnesses) runs 6 embedding searches and counts L's
