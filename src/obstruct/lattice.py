@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from itertools import accumulate
 from math import comb, gcd, isqrt, lcm
-from operator import eq, le
+from operator import eq, le, mul
 from typing import Callable, Iterable, Iterator
 
 from ._record import Record
@@ -461,7 +461,9 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     square times |sigma|^2, or when the counts of vectors of norm 1, 2 and 3
     of the two lattices rule an embedding out (see ``_counts_admit``); each
     such rejection is itself a proof.  At index 1 (|det G| = |sigma|^2) the
-    counts must be equal.  Norm 4 is left out: for one sigma, L's norm-4
+    counts must be equal, and a vector of norm <= 3 takes its candidates
+    from a list of the complement's vectors of that norm, as long as L's
+    count (see ``_first_embedding``).  Norm 4 is left out: for one sigma, L's norm-4
     count can cost more than a search (see ``changemaker_obstruction``).
     The linking form is not tested here, so this search stays the slow path
     that ``changemaker_obstruction``'s linking-form test is checked against.
@@ -487,8 +489,9 @@ def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | No
     its pairings with the vectors before it are read from G once per search.
     ``fill(t, tied, free)`` returns the first embedding extending the
     vectors filled so far, or None.  It sets vector t's coordinates, largest
-    sigma entry first, with an explicit stack, so the Python stack grows by
-    one frame per vector, and calls fill(t + 1) per candidate.  Its two rows
+    sigma entry first, with an explicit stack, and passes each candidate to
+    ``place``, which calls fill(t + 1): the Python stack grows by two frames
+    per vector.  Its two rows
     are built once per filled vector, from the parent's rows and the vector
     just filled: tied[j] when sigma_j = sigma_(j-1) and rows j - 1 and j
     agree on every filled vector, free[j] when sigma_j = 0 and row j is 0 on
@@ -500,7 +503,15 @@ def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | No
     square, so the norm left is 0; the suffix norms suf_sig2[d] and
     sufv[s][d] are 0 too, so the Cauchy-Schwarz cuts pass only a zero dot
     with sigma and need = 0 for every pairing.  A completed vector thus has
-    its norm, pairings and orthogonality, with no test of its own."""
+    its norm, pairings and orthogonality, with no test of its own.
+    So the search yields exactly the x of the vector's norm k, orthogonal to
+    sigma, with its pairings and rows, in descending order.  At index 1
+    (|det G| = |sigma|^2) and k <= 3, fill instead keeps those x from one
+    list per search of every x of norm k orthogonal to sigma, built on first
+    use (``_short_vectors``), in list order: the same candidates in the same
+    order.  As ``_counts_admit`` proved, that list has _short_counts(gram)[k
+    - 1] entries.  No count bounds a list of norm 4 and above, which is
+    counted only after a failed search, or one at an index above 1."""
     n = gram.rank
     d = n + 1
 
@@ -510,6 +521,8 @@ def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | No
     sig = sigma[::-1]  # largest sigma entries first
     suf_sig2 = list(accumulate((x * x for x in reversed(sig)), initial=0))[::-1]
 
+    index1 = abs(gram.determinant()) == sum(x * x for x in sigma)
+    lists: dict[int, list[tuple[int, ...]]] = {}  # by norm, at index 1
     vecs: list[tuple[int, ...]] = []  # in fill order, in reversed coordinates
     sufv: list[list[int]] = []  # suffix norms of each filled vector
 
@@ -521,6 +534,27 @@ def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | No
             emb = Embedding(Changemaker(sigma), tuple(res))  # type: ignore[arg-type]
             return emb if emb.verifies(gram) else None  # rank check; holds whenever G is definite
         diag, offs = facts[t]
+
+        def place(x: tuple[int, ...]) -> Embedding | None:
+            vecs.append(x)
+            sufv.append(list(accumulate((c * c for c in reversed(x)), initial=0))[::-1])
+            emb = fill(t + 1, [tj and x[j - 1] == x[j] for j, tj in enumerate(tied)],
+                       [f and c == 0 for f, c in zip(free, x)])
+            vecs.pop()
+            sufv.pop()
+            return emb
+
+        if diag <= 3 and index1:
+            cands = lists.get(diag)
+            if cands is None:
+                cands = lists[diag] = _short_vectors(sig, diag)
+            for w, o in zip(reversed(vecs), reversed(offs)):
+                cands = [x for x in cands if sum(map(mul, x, w)) == o]
+            tj = [j for j, f in enumerate(tied) if f]
+            fj = [j for j, f in enumerate(free) if f]
+            cands = [x for x in cands
+                     if all(x[j] <= x[j - 1] for j in tj) and all(x[j] >= 0 for j in fj)]
+            return next((e for e in map(place, cands) if e is not None), None)
         v = [0] * d
 
         def values(j: int, rem: int) -> list[int] | range:
@@ -558,12 +592,7 @@ def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | No
                 if j + 1 < d:
                     stack.append((nrem, nds, nd, iter(values(j + 1, nrem))))
                     break
-                vecs.append(tuple(v))
-                sufv.append(list(accumulate((x * x for x in reversed(v)), initial=0))[::-1])
-                emb = fill(t + 1, [tj and v[j - 1] == v[j] for j, tj in enumerate(tied)],
-                           [f and x == 0 for f, x in zip(free, v)])
-                vecs.pop()
-                sufv.pop()
+                emb = place(tuple(v))
                 if emb is not None:
                     return emb
             else:
@@ -571,6 +600,30 @@ def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | No
         return None
 
     return fill(0, [j > 0 and sig[j - 1] == sig[j] for j in range(d)], [e == 0 for e in sig])
+
+
+def _short_vectors(sig: tuple[int, ...], norm: int) -> list[tuple[int, ...]]:
+    """Every x in Z^d with |x|^2 = norm <= 3 and x . sig = 0, so with entries
+    0 and +-1, in descending lex order.  A coordinate search keeps, one
+    coordinate at a time, the prefixes that pass the Cauchy-Schwarz cut of
+    ``_first_embedding``; a prefix whose norm is spent ends in zeros."""
+    d = len(sig)
+    suf = list(accumulate((x * x for x in reversed(sig)), initial=0))[::-1]
+    found = []
+    level = [((), norm, 0)]
+    for j, s in enumerate(sig):
+        nxt = []
+        for p, rem, dot in level:
+            for v in (1, 0, -1):
+                nrem, nd = rem - v * v, dot + v * s
+                if nd * nd > suf[j + 1] * nrem:
+                    continue
+                if nrem:
+                    nxt.append((p + (v,), nrem, nd))
+                elif nd == 0:
+                    found.append(p + (v,) + (0,) * (d - j - 1))
+        level = nxt
+    return sorted(found, reverse=True)
 
 
 class ObstructionResult(Record):
@@ -640,7 +693,9 @@ def changemaker_obstruction(
     skips every sigma without them (see ``_changemakers``).  Otherwise every
     changemaker is enumerated, as a tuple of entries, and each meets the
     count conditions of ``embed_in_complement``; only a witness's sigma
-    becomes a ``Changemaker``.
+    becomes a ``Changemaker``.  At index 1 the search takes the candidates
+    for a vector of norm <= 3 from a list as long as L's count of that norm
+    (see ``_first_embedding``).
     After the first failed search, `counts` widens to norm 4: L's vectors
     are counted once more, to norm 4, and later sigma must fit that count
     too.  It can take ten times as long as the norm <= 3 counts (the rank-30

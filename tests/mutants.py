@@ -136,18 +136,36 @@ MUTANTS = (
            "                if v > prev:\n                    break",
            "                if True:\n                    break",
            (T_LA + "test_enumeration_digest",)),
-    # the embedding search: its canonical-form rows, its pairing cut, and the
-    # zero sigma, which has no index
+    # the embedding search: its canonical-form rows, its pairing cut, its
+    # lists of short vectors at index 1, and the zero sigma, which has no index
     Mutant("search-tied-row-ignores-filled-vector", LA,
-           "v[j - 1] == v[j]", "True",
+           "x[j - 1] == x[j]", "True",
            (T_LA + "test_gd_embedding_found_and_verifies",)),
     Mutant("search-free-row-ignores-filled-vector", LA,
-           "x == 0", "True",
+           "f and c == 0", "f",
            (T_LA + "test_pruned_search_equals_naive_search",
             T_LA + "test_complement_forms_always_embed")),
     Mutant("search-pairing-cut-strict", LA,
            "need * need > sufv[s][j + 1] * nrem", "need * need >= sufv[s][j + 1] * nrem",
            (T_LA + "test_gd_embedding_found_and_verifies",)),
+    # a list filter that is dropped leaves the first embedding as it was,
+    # but the search places more vectors, or completes wrong ones
+    Mutant("search-list-without-pairing-filter", LA,
+           "                cands = [x for x in cands if sum(map(mul, x, w)) == o]\n",
+           "                pass\n",
+           (T_LA + "test_every_search_leaf_verifies",)),
+    Mutant("search-list-without-tied-row-filter", LA,
+           "if all(x[j] <= x[j - 1] for j in tj) and ", "if ",
+           (T_LA + "test_lists_place_what_the_coordinate_search_places",)),
+    Mutant("search-list-without-free-row-filter", LA,
+           " and all(x[j] >= 0 for j in fj)", "",
+           (T_LA + "test_lists_place_what_the_coordinate_search_places",)),
+    Mutant("search-lists-at-every-index", LA,
+           "if diag <= 3 and index1:", "if diag <= 3:",
+           (T_LA + "test_short_vector_lists_only_at_index_1_and_norms_to_3",)),
+    Mutant("search-lists-of-norm-4", LA,
+           "if diag <= 3 and index1:", "if diag <= 4 and index1:",
+           (T_LA + "test_short_vector_lists_only_at_index_1_and_norms_to_3",)),
     Mutant("zero-sigma-reaches-the-index-test", LA,
            "    if sigma.norm == 0:\n"
            "        return None  # the zero vector spans nothing; full rank is impossible\n",

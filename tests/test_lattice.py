@@ -205,10 +205,10 @@ def test_embed_rank_one():
 
 
 def test_rank_30_search_stays_within_recursion_limit(monkeypatch):
-    """The search takes one Python frame per vector.  A frame per coordinate
-    of each vector would need about 30 * 33 frames here, near the default
-    limit of 1000, and the trivial witness would raise RecursionError.
-    The witness is the first sigma searched, so L's norm-4 vectors, which
+    """The search takes two Python frames per vector, fill and place.  A
+    frame per coordinate of each vector would need about 30 * 33 frames
+    here, near the default limit of 1000, and the trivial witness would
+    raise RecursionError.  The witness is the first sigma searched, so L's norm-4 vectors, which
     take over ten times as long to count as those of norm <= 3, are never
     counted."""
     vector_counts = la._vector_counts
@@ -227,6 +227,25 @@ def test_rank_30_search_stays_within_recursion_limit(monkeypatch):
     assert res.status == "witness"
     assert res.first().sigma.entries == (0,) * rank + (1,)
     assert res.first().verifies(minus_i)
+
+
+def test_every_search_leaf_verifies(monkeypatch):
+    """A completed vector has its norm, pairings and orthogonality with no
+    test of its own, so the search's one check, Embedding.verifies, passes
+    at every leaf it reaches.  -I of rank 10 fills every vector from the
+    norm-1 list; the lattice-search forms mix lists and coordinate search."""
+    verifies = la.Embedding.verifies
+
+    def must_verify(emb, gram):
+        assert verifies(emb, gram), emb
+        return True
+
+    monkeypatch.setattr(la.Embedding, "verifies", must_verify)
+    minus_i = la.GramMatrix([[-(i == j) for j in range(10)] for i in range(10)])
+    assert la.changemaker_obstruction(minus_i, 1).status == "witness"
+    results = [la.changemaker_obstruction(gram, abs(gram.determinant()), all_witnesses=all_w)
+               for gram, all_w in lattice_search_forms()]
+    assert sum(r.status == "witness" for r in results) == 3
 
 
 def test_known_basis_verifies_bit_exactly():
@@ -662,6 +681,97 @@ def test_first_embedding_digest():
     assert (len(locked), sum(e is not None for _, e in locked), digest) == (
         6963, 8, "a1be8efc11246c609854d61d84f5f49dd8a378c090f25d3bada2c7351f7dbbe2",
     )
+
+
+def test_short_vectors_against_brute_force_and_counts():
+    """For each of the 44 sigma admitted at index 1 on the search-digest
+    forms, the list of each norm k <= 3 holds exactly the x in {-1, 0, 1}^d
+    of norm k orthogonal to sigma, in the search's order (reversed sigma,
+    values high to low), and has L's count of norm k."""
+    checked = 0
+    for gram in search_digest_forms():
+        counts = la._short_counts(gram)
+        for sigma in la._changemakers(gram.rank + 1, abs(gram.determinant()), counts):
+            if not la._counts_admit(counts, sigma, eq):
+                continue
+            sig = sigma[::-1]
+            want = {1: [], 2: [], 3: []}
+            for x in itertools.product((1, 0, -1), repeat=len(sig)):
+                k = sum(map(abs, x))  # the norm, as entries are 0 or +-1
+                if 1 <= k <= 3 and sum(a * b for a, b in zip(x, sig)) == 0:
+                    want[k].append(x)
+            for k in (1, 2, 3):
+                assert la._short_vectors(sig, k) == want[k], (sigma, k)
+                assert len(want[k]) == counts[k - 1], (sigma, k)
+            checked += 1
+    assert checked == 44
+
+
+def test_lists_place_what_the_coordinate_search_places(monkeypatch):
+    """For each sigma admitted at index 1 on the search-digest forms, the
+    search with its lists finds the embedding, or None, that the coordinate
+    search alone finds with the index hidden, and places as many vectors:
+    the lists' filters cut every candidate that the coordinate search cuts.
+    Those forms have no vector of norm 1, so no sigma with a zero entry is
+    admitted; the complements of four such sigma are searched too.  Each
+    placed vector builds one suffix-norm row with ``accumulate``, as do each
+    search and each list."""
+    rows, lists = [], []
+    accumulate, short_vectors = la.accumulate, la._short_vectors
+    monkeypatch.setattr(la, "accumulate", lambda *a, **k: rows.append(1) or accumulate(*a, **k))
+    monkeypatch.setattr(la, "_short_vectors", lambda sig, k: lists.append(k) or short_vectors(sig, k))
+    cases = []
+    zeros = map(la.Changemaker, [(0, 1, 1, 2, 4, 4), (0, 1, 1, 1, 2, 3, 3),
+                                 (0, 0, 1, 1, 2, 2, 5), (0, 0, 0, 1, 1, 3, 5)])
+    for gram in search_digest_forms() + [complement_gram(random.Random(s.norm), s) for s in zeros]:
+        counts = la._short_counts(gram)
+        cases += [(gram, sigma) for sigma in
+                  la._changemakers(gram.rank + 1, abs(gram.determinant()), counts)
+                  if la._counts_admit(counts, sigma, eq)]
+
+    def search():
+        rows.clear()
+        lists.clear()
+        found = [la._first_embedding(gram, sigma) for gram, sigma in cases]
+        return found, len(rows) - len(lists) - len(cases), len(lists)
+
+    found, placed, listed = search()
+    monkeypatch.setattr(la.GramMatrix, "determinant", lambda gram: 0)
+    assert search() == (found, placed, 0)
+    assert (len(cases), sum(e is not None for e in found), placed, listed) == (48, 12, 525, 86)
+
+
+def test_short_vector_lists_only_at_index_1_and_norms_to_3(monkeypatch):
+    """A lattice-search pass lists only norms 1 to 3, before and after its
+    count widens to norm 4; the index-2 and index-3 sublattice queries of
+    the builtin forms search, with vectors of norm <= 3, but list nothing."""
+    events, searches = [], []
+    short_vectors, vector_counts = la._short_vectors, la._vector_counts
+    first_embedding = la._first_embedding
+    monkeypatch.setattr(
+        la, "_short_vectors", lambda sig, k: events.append(("list", k)) or short_vectors(sig, k)
+    )
+    monkeypatch.setattr(
+        la, "_vector_counts", lambda u, top: events.append(("count", top)) or vector_counts(u, top)
+    )
+    monkeypatch.setattr(
+        la, "_first_embedding", lambda g, s: searches.append(s) or first_embedding(g, s)
+    )
+    for gram, all_w in lattice_search_forms():
+        la.changemaker_obstruction(gram, abs(gram.determinant()), all_witnesses=all_w)
+    widened = events.index(("count", 4))
+    listed = [k for kind, k in events if kind == "list"]
+    assert set(listed) == {2, 3}
+    assert ("list", 2) in events[widened:] and ("list", 3) in events[widened:]
+    events.clear()
+    searches.clear()
+    for gram in (GD, *(go.family_2odd_2odd(a, b) for a, b in ((1, 1), (1, 2), (2, 2)))):
+        for index in (2, 3):
+            la.changemaker_obstruction(
+                sublattice(gram, 0, index), abs(gram.determinant()), all_witnesses=True
+            )
+    assert len(searches) == 58
+    assert not [e for e in events if e[0] == "list"]
 
 
 def test_norm4_count_after_first_failed_search(monkeypatch):
