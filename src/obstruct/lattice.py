@@ -23,9 +23,9 @@ floating point is used.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import comb, gcd, isqrt, lcm
-from operator import eq, le, mul
+from operator import eq, gt, le, mul
 from typing import Callable, Iterable, Iterator
 
 from ._record import Record
@@ -461,10 +461,11 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     square times |sigma|^2, or when the counts of vectors of norm 1, 2 and 3
     of the two lattices rule an embedding out (see ``_counts_admit``); each
     such rejection is itself a proof.  At index 1 (|det G| = |sigma|^2) the
-    counts must be equal, and a vector of norm <= 3 takes its candidates
-    from a list of the complement's vectors of that norm, as long as L's
-    count (see ``_first_embedding``).  Norm 4 is left out: for one sigma, L's norm-4
-    count can cost more than a search (see ``changemaker_obstruction``).
+    counts must be equal, and the search takes a vector of norm <= 3 from a
+    list of the complement's vectors of that norm, as long as L's count
+    (see ``_first_embedding``).  Norm 4 is left out: for one sigma, L's
+    norm-4 count can cost more than a search (see
+    ``changemaker_obstruction``).
     The linking form is not tested here, so this search stays the slow path
     that ``changemaker_obstruction``'s linking-form test is checked against.
     Vectors are filled in increasing order of the Gram diagonal, each with
@@ -490,28 +491,27 @@ def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | No
     ``fill(t, tied, free)`` returns the first embedding extending the
     vectors filled so far, or None.  It sets vector t's coordinates, largest
     sigma entry first, with an explicit stack, and passes each candidate to
-    ``place``, which calls fill(t + 1): the Python stack grows by two frames
-    per vector.  Its two rows
-    are built once per filled vector, from the parent's rows and the vector
-    just filled: tied[j] when sigma_j = sigma_(j-1) and rows j - 1 and j
-    agree on every filled vector, free[j] when sigma_j = 0 and row j is 0 on
-    every filled vector.  A tied coordinate takes no value above the one
-    before it and a free one no negative value, so rows stay sorted within
-    blocks and a zero row's first nonzero entry is positive: the search is
-    complete up to the symmetries fixing sigma.
+    ``place``, which calls fill(t + 1): two Python frames per vector.  Its
+    two rows are built once per filled vector, from the parent's rows and
+    the vector just filled: tied[j] when sigma_j = sigma_(j-1) and rows j - 1
+    and j agree on every filled vector, free[j] when sigma_j = 0 and row j
+    is 0 on every filled vector.  A tied coordinate takes no value above
+    the one before it and a free one no negative value, so rows stay sorted
+    within blocks and a zero row's first nonzero entry is positive: the
+    search is complete up to the symmetries fixing sigma.
     The last coordinate takes only +-isqrt(rem), and only when rem is a
     square, so the norm left is 0; the suffix norms suf_sig2[d] and
     sufv[s][d] are 0 too, so the Cauchy-Schwarz cuts pass only a zero dot
     with sigma and need = 0 for every pairing.  A completed vector thus has
     its norm, pairings and orthogonality, with no test of its own.
-    So the search yields exactly the x of the vector's norm k, orthogonal to
-    sigma, with its pairings and rows, in descending order.  At index 1
-    (|det G| = |sigma|^2) and k <= 3, fill instead keeps those x from one
-    list per search of every x of norm k orthogonal to sigma, built on first
-    use (``_short_vectors``), in list order: the same candidates in the same
-    order.  As ``_counts_admit`` proved, that list has _short_counts(gram)[k
-    - 1] entries.  No count bounds a list of norm 4 and above, which is
-    counted only after a failed search, or one at an index above 1."""
+    So the search sets exactly the x of the vector's norm k, orthogonal to
+    sigma, that meet its pairings and rows, in descending order.  At index 1
+    (|det G| = |sigma|^2) and k <= 3, fill keeps these same x, in order,
+    from one list per search of every x of norm k orthogonal to sigma
+    (``_short_vectors``, built on first use); ``_counts_admit`` proved that
+    it has _short_counts(gram)[k - 1] entries.  No such count bounds a list
+    above index 1, where L's counts bound the complement's only from below,
+    and lists of norm 4 and more were measured slower than the search."""
     n = gram.rank
     d = n + 1
 
@@ -521,7 +521,7 @@ def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | No
     sig = sigma[::-1]  # largest sigma entries first
     suf_sig2 = list(accumulate((x * x for x in reversed(sig)), initial=0))[::-1]
 
-    index1 = abs(gram.determinant()) == sum(x * x for x in sigma)
+    index1 = abs(gram.determinant()) == sum(map(mul, sigma, sigma))
     lists: dict[int, list[tuple[int, ...]]] = {}  # by norm, at index 1
     vecs: list[tuple[int, ...]] = []  # in fill order, in reversed coordinates
     sufv: list[list[int]] = []  # suffix norms of each filled vector
@@ -550,11 +550,16 @@ def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | No
                 cands = lists[diag] = _short_vectors(sig, diag)
             for w, o in zip(reversed(vecs), reversed(offs)):
                 cands = [x for x in cands if sum(map(mul, x, w)) == o]
-            tj = [j for j, f in enumerate(tied) if f]
-            fj = [j for j, f in enumerate(free) if f]
-            cands = [x for x in cands
-                     if all(x[j] <= x[j - 1] for j in tj) and all(x[j] >= 0 for j in fj)]
-            return next((e for e in map(place, cands) if e is not None), None)
+            t1 = tied[1:]
+            for x in cands:
+                # entries are 0 and +-1: a free one is not -1, a tied one not
+                # above the one before it
+                if -1 in compress(x, free) or any(map(gt, compress(x[1:], t1), compress(x, t1))):
+                    continue
+                emb = place(x)
+                if emb is not None:
+                    return emb
+            return None
         v = [0] * d
 
         def values(j: int, rem: int) -> list[int] | range:

@@ -155,10 +155,10 @@ MUTANTS = (
            "                pass\n",
            (T_LA + "test_every_search_leaf_verifies",)),
     Mutant("search-list-without-tied-row-filter", LA,
-           "if all(x[j] <= x[j - 1] for j in tj) and ", "if ",
+           " or any(map(gt, compress(x[1:], t1), compress(x, t1)))", "",
            (T_LA + "test_lists_place_what_the_coordinate_search_places",)),
     Mutant("search-list-without-free-row-filter", LA,
-           " and all(x[j] >= 0 for j in fj)", "",
+           "-1 in compress(x, free) or ", "",
            (T_LA + "test_lists_place_what_the_coordinate_search_places",)),
     Mutant("search-lists-at-every-index", LA,
            "if diag <= 3 and index1:", "if diag <= 3:",

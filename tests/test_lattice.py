@@ -719,11 +719,14 @@ def test_lists_place_what_the_coordinate_search_places(monkeypatch):
     rows, lists = [], []
     accumulate, short_vectors = la.accumulate, la._short_vectors
     monkeypatch.setattr(la, "accumulate", lambda *a, **k: rows.append(1) or accumulate(*a, **k))
-    monkeypatch.setattr(la, "_short_vectors", lambda sig, k: lists.append(k) or short_vectors(sig, k))
+    monkeypatch.setattr(
+        la, "_short_vectors", lambda sig, k: lists.append(k) or short_vectors(sig, k)
+    )
     cases = []
     zeros = map(la.Changemaker, [(0, 1, 1, 2, 4, 4), (0, 1, 1, 1, 2, 3, 3),
                                  (0, 0, 1, 1, 2, 2, 5), (0, 0, 0, 1, 1, 3, 5)])
-    for gram in search_digest_forms() + [complement_gram(random.Random(s.norm), s) for s in zeros]:
+    complements = [complement_gram(random.Random(s.norm), s) for s in zeros]
+    for gram in search_digest_forms() + complements:
         counts = la._short_counts(gram)
         cases += [(gram, sigma) for sigma in
                   la._changemakers(gram.rank + 1, abs(gram.determinant()), counts)
