@@ -611,7 +611,8 @@ def _short_vectors(sig: tuple[int, ...], norm: int) -> list[tuple[int, ...]]:
     """Every x in Z^d with |x|^2 = norm <= 3 and x . sig = 0, so with entries
     0 and +-1, in descending lex order.  A coordinate search keeps, one
     coordinate at a time, the prefixes that pass the Cauchy-Schwarz cut of
-    ``_first_embedding``; a prefix whose norm is spent ends in zeros."""
+    ``_first_embedding``; a prefix whose norm is spent ends in zeros, so the
+    vectors found are sorted at the end."""
     d = len(sig)
     suf = list(accumulate((x * x for x in reversed(sig)), initial=0))[::-1]
     found = []

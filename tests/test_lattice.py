@@ -683,54 +683,54 @@ def test_first_embedding_digest():
     )
 
 
-def test_short_vectors_against_brute_force_and_counts():
-    """For each of the 44 sigma admitted at index 1 on the search-digest
-    forms, the list of each norm k <= 3 holds exactly the x in {-1, 0, 1}^d
-    of norm k orthogonal to sigma, in the search's order (reversed sigma,
-    values high to low), and has L's count of norm k."""
-    checked = 0
-    for gram in search_digest_forms():
+def index1_cases():
+    """(gram, sigma) for each sigma admitted at index 1 (p = |det|) on the
+    search-digest forms, which have no vector of norm 1 and so admit no
+    sigma with a zero entry, then on the complements of four such sigma."""
+    zeros = map(la.Changemaker, [(0, 1, 1, 2, 4, 4), (0, 1, 1, 1, 2, 3, 3),
+                                 (0, 0, 1, 1, 2, 2, 5), (0, 0, 0, 1, 1, 3, 5)])
+    complements = [complement_gram(random.Random(s.norm), s) for s in zeros]
+    cases = []
+    for gram in search_digest_forms() + complements:
         counts = la._short_counts(gram)
-        for sigma in la._changemakers(gram.rank + 1, abs(gram.determinant()), counts):
-            if not la._counts_admit(counts, sigma, eq):
-                continue
-            sig = sigma[::-1]
-            want = {1: [], 2: [], 3: []}
-            for x in itertools.product((1, 0, -1), repeat=len(sig)):
-                k = sum(map(abs, x))  # the norm, as entries are 0 or +-1
-                if 1 <= k <= 3 and sum(a * b for a, b in zip(x, sig)) == 0:
-                    want[k].append(x)
-            for k in (1, 2, 3):
-                assert la._short_vectors(sig, k) == want[k], (sigma, k)
-                assert len(want[k]) == counts[k - 1], (sigma, k)
-            checked += 1
-    assert checked == 44
+        cases += [(gram, sigma) for sigma in
+                  la._changemakers(gram.rank + 1, abs(gram.determinant()), counts)
+                  if la._counts_admit(counts, sigma, eq)]
+    return cases
+
+
+def test_short_vectors_against_brute_force_and_counts():
+    """For each of the 48 index-1 cases, the list of each norm k <= 3 holds
+    exactly the x in {-1, 0, 1}^d of norm k orthogonal to sigma, in the
+    search's order (reversed sigma, values high to low), and has L's count
+    of norm k."""
+    cases = index1_cases()
+    for gram, sigma in cases:
+        sig = sigma[::-1]
+        want = {1: [], 2: [], 3: []}
+        for x in itertools.product((1, 0, -1), repeat=len(sig)):
+            k = sum(map(abs, x))  # the norm, as entries are 0 or +-1
+            if 1 <= k <= 3 and sum(a * b for a, b in zip(x, sig)) == 0:
+                want[k].append(x)
+        for k in (1, 2, 3):
+            assert la._short_vectors(sig, k) == want[k], (sigma, k)
+            assert len(want[k]) == la._short_counts(gram)[k - 1], (sigma, k)
+    assert len(cases) == 48
 
 
 def test_lists_place_what_the_coordinate_search_places(monkeypatch):
-    """For each sigma admitted at index 1 on the search-digest forms, the
-    search with its lists finds the embedding, or None, that the coordinate
-    search alone finds with the index hidden, and places as many vectors:
-    the lists' filters cut every candidate that the coordinate search cuts.
-    Those forms have no vector of norm 1, so no sigma with a zero entry is
-    admitted; the complements of four such sigma are searched too.  Each
-    placed vector builds one suffix-norm row with ``accumulate``, as do each
-    search and each list."""
+    """For each index-1 case, the search with its lists finds the embedding,
+    or None, that the coordinate search alone finds with the index hidden,
+    and places as many vectors: the lists' filters cut every candidate that
+    the coordinate search cuts.  Each placed vector builds one suffix-norm
+    row with ``accumulate``, as do each search and each list."""
     rows, lists = [], []
     accumulate, short_vectors = la.accumulate, la._short_vectors
     monkeypatch.setattr(la, "accumulate", lambda *a, **k: rows.append(1) or accumulate(*a, **k))
     monkeypatch.setattr(
         la, "_short_vectors", lambda sig, k: lists.append(k) or short_vectors(sig, k)
     )
-    cases = []
-    zeros = map(la.Changemaker, [(0, 1, 1, 2, 4, 4), (0, 1, 1, 1, 2, 3, 3),
-                                 (0, 0, 1, 1, 2, 2, 5), (0, 0, 0, 1, 1, 3, 5)])
-    complements = [complement_gram(random.Random(s.norm), s) for s in zeros]
-    for gram in search_digest_forms() + complements:
-        counts = la._short_counts(gram)
-        cases += [(gram, sigma) for sigma in
-                  la._changemakers(gram.rank + 1, abs(gram.determinant()), counts)
-                  if la._counts_admit(counts, sigma, eq)]
+    cases = index1_cases()
 
     def search():
         rows.clear()
