@@ -5,7 +5,7 @@ skip the input checks and caps of a public function.  Import as
 ``import oracles``; pytest does not collect this file."""
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from obstruct import lattice as la
@@ -131,10 +131,16 @@ def square_root_mod(a, n):
 
 
 def square_root_mod_by_factoring(a, n):
-    """The witness of square_root_mod, or None, the slow way: factor n
-    completely, root a modulo each prime power and join the roots by the
-    CRT, with no Jacobi exit and no early stop; the oracle for
-    nt._square_roots_mod."""
+    """The witness of square_root_mod for a unit a mod n, or None, the slow
+    way: factor n completely, root a modulo each prime power and join the
+    roots by the CRT, with no Jacobi exit and no early stop; the oracle for
+    nt._square_roots_mod.
+
+    It roots each prime power with nt._sqrt_mod_prime_power, the function
+    the code under test calls, so it checks only the walk of n's primes, the
+    Jacobi exit and the CRT join; test_square_root_mod_exhaustive_small
+    checks the prime-power roots against a scan of the squares."""
+    assert gcd(a, n) == 1, f"{a} is not a unit mod {n}"
     a %= n
     x, mod = 0, 1
     for p, e in nt.factor(n).factors:

@@ -3,10 +3,10 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -36,6 +36,15 @@ def trial_division(n):
 
 def squares_mod(n):
     return {x * x % n for x in range(n)}
+
+
+def unit_from(a, n):
+    """The first unit mod n in a, a + 1, ..., taken mod n: the residues the
+    square roots are asked for are units."""
+    a %= n
+    while gcd(a, n) > 1:
+        a = (a + 1) % n
+    return a
 
 
 def legendre(a, p):
@@ -305,11 +314,11 @@ def test_square_root_mod_trivial_modulus():
 
 
 def test_square_root_mod_exhaustive_small():
-    # exhaustive below 600, then a deterministic stride through 600..2000
+    # every unit, exhaustive below 600, then a deterministic stride through 600..2000
     moduli = list(range(1, 600)) + list(range(601, 2001, 13))
     for n in moduli:
         sq = squares_mod(n)
-        for a in range(n):
+        for a in [a for a in range(n) if gcd(a, n) == 1]:
             w = oracles.square_root_mod(a, n)
             if a in sq:
                 assert w is not None and w * w % n == a, (a, n)
@@ -318,11 +327,12 @@ def test_square_root_mod_exhaustive_small():
 
 
 def test_square_root_mod_witnesses_locked():
-    """The exact witness, not only whether one exists, for every a < n <= 300:
-    prime powers up to 2^8 and 3^5, and mixed moduli."""
-    roots = [oracles.square_root_mod(a, n) for n in range(1, 301) for a in range(n)]
+    """The exact witness, not only whether one exists, for every unit a < n <=
+    300: prime powers up to 2^8 and 3^5, and mixed moduli."""
+    roots = [oracles.square_root_mod(a, n) for n in range(1, 301) for a in range(n)
+             if gcd(a, n) == 1]
     digest = hashlib.sha256(json.dumps(roots).encode()).hexdigest()
-    assert digest == "bd7393a604453cab1a1ee6e4b504103d44ac927e6dfb04f23183ace292e733d6"
+    assert digest == "08124092223e1d0403ce23c711802a9deb635d7fe96330efeacf53590746fe2d"
 
 
 def prime_in(rng, lo, hi):
@@ -333,35 +343,33 @@ def prime_in(rng, lo, hi):
 
 
 def large_n_sample(seed=23):
-    """(a, n) pairs with n < 2^63 whose square roots reach each branch of the
-    walk of n's primes:
+    """(a, n) pairs, a a unit mod n < 2^63, whose square roots reach each
+    branch of the walk of n's primes:
 
     * n = p^2 q and p^3 with p >= 4096, so repeated large primes come out of
-      Pollard rho, with residues divisible by p and by p^2;
+      Pollard rho;
     * 2^k exactly dividing n for k = 1..5, times p^2 q;
     * n = s p q with s < 4096 prime and p, q >= 4096, and a residue a such
       that a and -a are non-squares mod s while the Jacobi symbol of the odd
       part of n is +1 for both, so both signs die at s before the composite
       cofactor p q is split;
-    * a random residue and a square for each n of sample_63_bit().
+    * a random unit and a square for each n of sample_63_bit().
     """
     rng = random.Random(seed)
     pairs = []
 
-    def residues(n, p):
-        x = rng.randrange(n)
-        for a in (rng.randrange(n), x * x % n, p * rng.randrange(n), p * p * rng.randrange(n)):
-            pairs.append((a % n, n))
+    def residues(n):
+        x = unit_from(rng.randrange(n), n)
+        pairs.extend([(unit_from(rng.randrange(n), n), n), (x * x % n, n)])
 
     for _ in range(30):
         p = prime_in(rng, 4096, 2**20)
-        residues(p * p * prime_in(rng, 4096, 2**22), p)
-        p = prime_in(rng, 4096, 2**21)
-        residues(p**3, p)
+        residues(p * p * prime_in(rng, 4096, 2**22))
+        residues(prime_in(rng, 4096, 2**21) ** 3)
     for k in range(1, 6):
         for _ in range(6):
             p = prime_in(rng, 4096, 2**18)
-            residues(2**k * p * p * prime_in(rng, 4096, 2**20), p)
+            residues(2**k * p * p * prime_in(rng, 4096, 2**20))
     # -1 is a square mod s and mod p q, so a and -a have the same symbols
     small = [s for s in range(5, 4096, 4) if oracles.is_prime(s)]
     for _ in range(30):
@@ -371,23 +379,22 @@ def large_n_sample(seed=23):
             q = prime_in(rng, 4096, 2**20)
         n = s * p * q * 2 ** rng.randrange(3)
         while True:
-            a = rng.randrange(n)
+            a = rng.randrange(1, n, 2)
             if all(legendre(b, s) == -1 and legendre(b, p) * legendre(b, q) == -1
                    for b in (a, -a)):
                 break
-        pairs += [(a, n), (rng.randrange(n), n)]
+        pairs += [(a, n), (unit_from(rng.randrange(n), n), n)]
     for n in sample_63_bit():
-        x = rng.randrange(n)
-        pairs += [(rng.randrange(n), n), (x * x % n, n)]
+        residues(n)
     return pairs
 
 
 def test_square_root_mod_large_n_digest():
-    """The witness or None for both signs of every pair of large_n_sample(),
-    pinned by digest."""
+    """The witness or None for both signs of every (unit) pair of
+    large_n_sample(), pinned by digest."""
     roots = [[oracles.square_root_mod(b, n) for b in (a, -a)] for a, n in large_n_sample()]
     digest = hashlib.sha256(json.dumps(roots).encode()).hexdigest()
-    assert digest == "6219047ac93b3de6552160f39ab74afb0c84c2665a0d0e5c16e0ba99105edc00"
+    assert digest == "ab906a28dd43674b99e69a84f31678e477624dad550347c2b9697bb5f3631e25"
 
 
 def test_square_roots_mod_match_factoring_oracle():
@@ -407,7 +414,8 @@ def test_square_roots_mod_match_factoring_oracle():
 @given(st.data())
 def test_square_roots_mod_match_factoring_oracle_below_2_63(data):
     n = data.draw(st.integers(min_value=1, max_value=2**63 - 1))
-    a, x = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    a, x = (unit_from(b, n) for b in data.draw(st.tuples(st.integers(0, n - 1),
+                                                         st.integers(0, n - 1))))
     residues = (a, -a, x * x % n)
     want = [oracles.square_root_mod_by_factoring(b, n) for b in residues]
     assert nt._square_roots_mod(residues, n) == want
@@ -439,6 +447,7 @@ def test_sqrt_mod_prime_on_63_bit_primes():
     st.integers(min_value=-(2**62), max_value=2**62),
 )
 def test_square_root_mod_agrees_with_scan(n, a):
+    assume(gcd(a, n) == 1)
     w = oracles.square_root_mod(a, n)
     want = a % n in squares_mod(n)
     assert (w is not None) == want
