@@ -254,6 +254,49 @@ def test_verdict_walks_n_once_and_splits_only_while_a_sign_lives(monkeypatch):
     assert all(nt._jacobi(ob.residue_ab, m) == 1 for ob in (v.integral_plus, v.integral_minus))
 
 
+def test_square_roots_are_asked_for_units_only(monkeypatch):
+    """numtheory roots units only.  Every residue that not_surgery_verdict
+    (the grid, its mirrors and 500 seeded splices) and changemaker_obstruction
+    (the 512 fig3-black forms of test_linking_form_is_the_residue_test, at
+    p = |det|) pass to _square_roots_mod or _sqrt_mod_prime_power, directly
+    or through _square_roots_mod, is prime to its modulus.  On 30 of the
+    forms the linking form roots each cofactor mod q^e."""
+    calls = []
+
+    def checked(label, f, is_unit):
+        def wrapper(*args):
+            assert is_unit(*args), (label, args)
+            calls.append(label)
+            return f(*args)
+        return wrapper
+
+    def units(residues, n):
+        return all(gcd(a, n) == 1 for a in residues)
+
+    def unit(a, p, e):
+        return a % p != 0
+
+    monkeypatch.setattr(mf, "_square_roots_mod", checked("mf", nt._square_roots_mod, units))
+    monkeypatch.setattr(la, "_square_roots_mod", checked("la", nt._square_roots_mod, units))
+    monkeypatch.setattr(la, "_sqrt_mod_prime_power",
+                        checked("la-cofactor", nt._sqrt_mod_prime_power, unit))
+    monkeypatch.setattr(nt, "_sqrt_mod_prime_power",
+                        checked("nt", nt._sqrt_mod_prime_power, unit))
+    splices = grid_and_random_splices(29)
+    for y in splices:
+        mf.not_surgery_verdict(y)
+    assert calls.count("mf") == len(splices) and "nt" in calls
+    calls.clear()
+    per_cofactor = 0
+    for a1, b1 in ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5), (3, 5)):
+        for a0, b0 in itertools.product(range(1, 9), repeat=2):
+            form = go.goeritz_matrix(go.fig3_black_graph(a0, a1, b0, b1))
+            start = len(calls)
+            la.changemaker_obstruction(form, abs(form.determinant()))
+            per_cofactor += "la-cofactor" in calls[start:]
+    assert (calls.count("la"), per_cofactor) == (482, 30)
+
+
 # ---------------------------------------------------------------------------
 # Eudave-Munoz knots
 
