@@ -7,7 +7,10 @@ symbol test that rules most non-squares out without factoring n, and membership
 plus density computations for two density-zero sets of integers.  One walk
 yields each prime of n once, with its full exponent; several residues mod n
 share it, and it stops once none of them can still be a square, so the rest
-of n is never split.  The two sets are:
+of n is never split.  Only units are rooted, the one case the callers pass:
+the splice residue +-ab mod n = |abcd - 1| is a unit since ab * cd = 1 mod n,
+and the linking form roots -m mod p only when gcd(m, p) = 1 and -c_i mod q^e
+only for a cofactor c_i prime to q.  The two sets are:
 
 * ``S``  -- n such that every odd prime divisor of n^2 + 1 is 1 mod 8;
 * ``Sprime`` -- n such that no prime divisor of n - 1 is 3 mod 4, or no
@@ -313,59 +316,45 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
 
 
 def _sqrt_mod_prime_power(a: int, p: int, e: int) -> int | None:
-    """A square root of a modulo the prime power p**e, or None.
-
-    A nonzero a = p^t u, with u a unit mod p^k and k = e - t, is a square iff
-    t is even and u is a square mod p^k; then r p^(t/2) is a root for each
-    root r of u.  For odd p, a root of u mod p lifts by Hensel's lemma.  For
-    p = 2, u is a square mod 2^k iff u = 1 mod 2^min(k, 3), and its root is
-    then fixed one bit at a time.
-    """
-    pe = p**e
-    a %= pe
-    if a == 0:
-        return pow(p, (e + 1) // 2, pe)
-    t = 0
-    while a % p == 0:
-        a //= p
-        t += 1
-    if t % 2 == 1:
-        return None
-    k = e - t
+    """A square root of a, a unit as every caller's is (see the module
+    docstring), modulo the prime power p**e, or None.  For odd p, a root mod p
+    lifts by Hensel's lemma straight to p^e.  For p = 2, a is a square mod 2^e
+    iff a = 1 mod 2^min(e, 3), and its root is then fixed one bit at a time."""
     if p == 2:
-        if a % 2 ** min(k, 3) != 1:
+        if a % 2 ** min(e, 3) != 1:
             return None
         r = 1
-        for i in range(3, k):
+        for i in range(3, e):
             if (r * r - a) % (1 << (i + 1)) != 0:
                 r += 1 << (i - 1)
-    else:
-        r = _sqrt_mod_prime(a, p)
-        if r is None:
-            return None
-        pk, q = p**k, p  # Hensel: lift r from mod q = p to mod pk
-        while q < pk:
-            q = min(q * q, pk)
-            r = (r - (r * r - a) * pow(2 * r, -1, q)) % q
-    return r * p ** (t // 2) % pe
+        return r
+    r = _sqrt_mod_prime(a, p)
+    if r is None:
+        return None
+    pe, q = p**e, p  # Hensel: lift r from mod q = p to mod pe
+    while q < pe:
+        q = min(q * q, pe)
+        r = (r - (r * r - a) * pow(2 * r, -1, q)) % q
+    return r
 
 
 def _square_roots_mod(residues: Sequence[int], n: int) -> list[int | None]:
     """For each residue a, a witness x in [0, n) with x^2 = a (mod n), the
     smaller of x and n - x, or None if a is not a square modulo n.  Needs
-    n >= 1; an n outside the 64-bit range raises OverflowError.
+    n >= 1 and every a a unit mod n, as every caller's residue is (see the
+    module docstring); an n outside the 64-bit range raises OverflowError.
 
     First the Jacobi symbol (a / m) over the odd part m of n: -1 proves that
-    a is not a square.  For if x^2 = a mod n, then x^2 = a mod m; when
-    gcd(a, m) = 1, a is then a nonzero square modulo every prime p of m, so
-    each Legendre factor (a / p) is +1, and when gcd(a, m) > 1 some factor
-    is 0.  The residues left share one walk of :func:`_split`, which yields
-    each prime p of n once with its full exponent e >= 1: each live residue
-    is rooted mod p^e (:func:`_sqrt_mod_prime_power`) and joined to its root
-    so far by the CRT, and a residue without a root mod p^e is not a square.
-    The loop breaks once no residue is live, which drops the walk, so the
-    rest of n is not split.  The CRT root mod n does not depend on the order
-    of the primes.
+    a is not a square.  For if x^2 = a mod n, then x^2 = a mod m, and the
+    unit a is a nonzero square modulo every prime p of m, so each Legendre
+    factor (a / p) is +1.  The residues left share one walk of
+    :func:`_split`, which yields each prime p of n once with its full
+    exponent e >= 1: each live residue is rooted mod p^e
+    (:func:`_sqrt_mod_prime_power`) and joined to its root so far by the
+    CRT, and a residue without a root mod p^e is not a square.  The loop
+    breaks once no residue is live, which drops the walk, so the rest of n
+    is not split.  The CRT root mod n does not depend on the order of the
+    primes.
     """
     _check_width(n)
     odd = n >> ((n & -n).bit_length() - 1)
