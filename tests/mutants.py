@@ -10,13 +10,18 @@ of them fails.  Stdlib only; pytest does not collect this file.
     python3 tests/mutants.py            # every row
     python3 tests/mutants.py NAME ...   # only the rows with these names
 
-Exits 1 if a row's text is missing or repeated, its tests fail unmutated, or
-one of them passes on the mutant.
+Every pytest run has a time limit, so a mutant that makes a kill test slow
+cannot hang the script: a mutated run that passes its limit counts as killed,
+and an unmutated one fails its row.
+
+Exits 1 if a row's text is missing or repeated, its tests fail or time out
+unmutated, or one of them passes on the mutant.
 """
 
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -25,6 +30,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Time limits of one pytest run, in seconds: UNMUTATED_LIMIT for the tests on
+# the unmutated copy, and max(MUTATED_LIMIT, SLOWDOWN x that run's time) for
+# the same tests on the mutant.
+UNMUTATED_LIMIT = 600
+MUTATED_LIMIT = 60
+SLOWDOWN = 10
 
 
 class Mutant(NamedTuple):
@@ -61,10 +73,6 @@ MUTANTS = (
            "        if v % 2 and m % 8 in (3, 5):\n            t = -t\n", "",
            (T_NT + "test_square_root_mod_witnesses_locked",
             T_NT + "test_jacobi_is_product_of_legendre")),
-    Mutant("jacobi-exit-on-zero", NT,
-           "None if _jacobi(a, odd) == -1 else 0", "None if _jacobi(a, odd) != 1 else 0",
-           (T_NT + "test_square_root_mod_witnesses_locked",
-            T_NT + "test_square_root_mod_exhaustive_small")),
     Mutant("jacobi-exit-on-n-not-its-odd-part", NT,
            "None if _jacobi(a, odd) == -1", "None if _jacobi(a, n) == -1",
            (T_NT + "test_square_root_mod_witnesses_locked",)),
@@ -228,38 +236,54 @@ MUTANTS = (
            (T_PK + "test_unknown_name_raises_attribute_error",)),
     # Equivalent mutants, which no test can kill:
     # - `p * p >= g` for `p * p > g` in _split: g is squarefree, so never p^2;
+    # - `_jacobi(a, odd) != 1` for `== -1` in _square_roots_mod: the residues
+    #   are units, whose Jacobi symbol is never 0;
     # - the package's __getattr__ without `globals()[name] = value`: the
     #   binding only spares later reads a call.
 )
 
 
-def failed_ids(src: Path, kills: tuple[str, ...]) -> tuple[int, set[str]]:
+def failed_ids(src: Path, kills: tuple[str, ...], limit: float) -> tuple[int | None, set[str]]:
     """Run the node ids against the sources in src; the exit code and the ids
-    that failed or errored."""
+    that failed or errored, or None and no ids if the run passed the time
+    limit, in seconds, and was killed."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
+    with subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *kills],
-        cwd=ROOT, env=env, capture_output=True, text=True,
-    )
-    failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE))
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,  # its own process group, killed whole on a timeout
+    ) as proc:
+        try:
+            out, _ = proc.communicate(timeout=limit)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return None, set()
+    failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", out, re.MULTILINE))
     return proc.returncode, failed
 
 
-def check(m: Mutant, scratch: Path) -> str | None:
-    """None if the mutant is killed, else why not."""
+def check(m: Mutant, scratch: Path) -> tuple[bool, str]:
+    """Whether the mutant is killed, and how, or why not."""
     src = scratch / m.name / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     path = src / "obstruct" / m.file
     text = path.read_text(encoding="utf-8")
     if text.count(m.old) != 1:
-        return f"old text occurs {text.count(m.old)} times in {m.file}"
-    code, failed = failed_ids(src, m.kills)
+        return False, f"old text occurs {text.count(m.old)} times in {m.file}"
+    t0 = time.perf_counter()
+    code, failed = failed_ids(src, m.kills, UNMUTATED_LIMIT)
+    if code is None:
+        return False, f"unmutated copy passes the {UNMUTATED_LIMIT} s limit"
     if code != 0:
-        return f"unmutated copy fails (exit {code}): {sorted(failed)}"
+        return False, f"unmutated copy fails (exit {code}): {sorted(failed)}"
+    limit = max(MUTATED_LIMIT, SLOWDOWN * (time.perf_counter() - t0))
     path.write_text(text.replace(m.old, m.new), encoding="utf-8")
-    code, failed = failed_ids(src, m.kills)
+    code, failed = failed_ids(src, m.kills, limit)
+    if code is None:
+        return True, f"killed: timed out after {limit:.0f} s"
     survived = [k for k in m.kills if k not in failed]
-    return f"survives {survived} (exit {code})" if survived else None
+    return (False, f"survives {survived} (exit {code})") if survived else (True, "killed")
 
 
 def main(names: list[str]) -> int:
@@ -271,9 +295,9 @@ def main(names: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         for m in rows:
             t0 = time.perf_counter()
-            why = check(m, Path(tmp))
-            bad += why is not None
-            status = "killed" if why is None else f"FAIL: {why}"
+            killed, why = check(m, Path(tmp))
+            bad += not killed
+            status = why if killed else f"FAIL: {why}"
             print(f"{m.name:44} {time.perf_counter() - t0:5.1f} s  {status}", flush=True)
     print(f"{len(rows) - bad} of {len(rows)} mutants killed")
     return 1 if bad else 0
