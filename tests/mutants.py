@@ -11,8 +11,8 @@ of them fails.  Stdlib only; pytest does not collect this file.
     python3 tests/mutants.py NAME ...   # only the rows with these names
 
 Every pytest run has a time limit, so a mutant that makes a kill test slow
-cannot hang the script: a mutated run that passes its limit counts as killed,
-and an unmutated one fails its row.
+cannot hang the script: a mutated run past its limit counts as killed, and an
+unmutated one fails its row.
 
 Exits 1 if a row's text is missing or repeated, its tests fail or time out
 unmutated, or one of them passes on the mutant.
@@ -245,7 +245,7 @@ MUTANTS = (
 
 def failed_ids(src: Path, kills: tuple[str, ...], limit: float) -> tuple[int | None, set[str]]:
     """Run the node ids against the sources in src; the exit code and the ids
-    that failed or errored, or None and no ids if the run passed the time
+    that failed or errored, or None and no ids if the run went past the time
     limit, in seconds, and was killed."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     with subprocess.Popen(
@@ -274,7 +274,7 @@ def check(m: Mutant, scratch: Path) -> tuple[bool, str]:
     t0 = time.perf_counter()
     code, failed = failed_ids(src, m.kills, UNMUTATED_LIMIT)
     if code is None:
-        return False, f"unmutated copy passes the {UNMUTATED_LIMIT} s limit"
+        return False, f"unmutated copy runs past the {UNMUTATED_LIMIT} s limit"
     if code != 0:
         return False, f"unmutated copy fails (exit {code}): {sorted(failed)}"
     limit = max(MUTATED_LIMIT, SLOWDOWN * (time.perf_counter() - t0))

@@ -390,8 +390,8 @@ def large_n_sample(seed=23):
 
 
 def test_square_root_mod_large_n_digest():
-    """The witness or None for both signs of every (unit) pair of
-    large_n_sample(), pinned by digest."""
+    """The witness or None for both signs of every pair of large_n_sample(),
+    pinned by digest."""
     roots = [[oracles.square_root_mod(b, n) for b in (a, -a)] for a, n in large_n_sample()]
     digest = hashlib.sha256(json.dumps(roots).encode()).hexdigest()
     assert digest == "ab906a28dd43674b99e69a84f31678e477624dad550347c2b9697bb5f3631e25"
@@ -414,8 +414,8 @@ def test_square_roots_mod_match_factoring_oracle():
 @given(st.data())
 def test_square_roots_mod_match_factoring_oracle_below_2_63(data):
     n = data.draw(st.integers(min_value=1, max_value=2**63 - 1))
-    a, x = (unit_from(b, n) for b in data.draw(st.tuples(st.integers(0, n - 1),
-                                                         st.integers(0, n - 1))))
+    a, x = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    a, x = unit_from(a, n), unit_from(x, n)
     residues = (a, -a, x * x % n)
     want = [oracles.square_root_mod_by_factoring(b, n) for b in residues]
     assert nt._square_roots_mod(residues, n) == want
