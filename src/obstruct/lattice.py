@@ -33,8 +33,11 @@ from .numtheory import (
     MAX_INPUT, ResourceCapExceeded, _split, _sqrt_mod_prime_power, _square_roots_mod,
 )
 
-# _changemakers nests one generator frame per entry but the last two, so
-# length - 2 frames; Python's default recursion limit is 1000
+# Python's default recursion limit is 1000.  _changemakers nests one
+# generator frame per entry but the last two, so length - 2 frames; the
+# embedding search takes one frame per vector and one at the leaf, so
+# rank + 1 = length frames.  Both stay under the limit for a length <= 512,
+# that is a rank <= 511.
 MAX_CHANGEMAKER_LENGTH = 512
 
 
@@ -294,11 +297,13 @@ class Embedding(Record):
 
 
 @lru_cache(maxsize=64)
-def _short_counts(gram: GramMatrix) -> tuple[int, ...]:
-    """Numbers of vectors of norm 1, 2 and 3 of L = (Z^n, -G), counted from
-    the form's elimination once per matrix: ``embed_in_complement`` asks for
-    them once per sigma."""
-    return tuple(_vector_counts(gram._rows, 3)[1:])
+def _short_counts(gram: GramMatrix, top: int) -> tuple[int, ...]:
+    """Numbers of vectors of norm 1, 2, ..., `top` of L = (Z^n, -G), counted
+    from the form's elimination once per matrix and bound:
+    ``embed_in_complement`` asks for them once per sigma, and
+    ``changemaker_obstruction`` once per query, to norm 3 and, after a
+    failed search, to norm 4."""
+    return tuple(_vector_counts(gram._rows, top)[1:])
 
 
 def _linking_form_admits(gram: GramMatrix) -> bool:
@@ -451,7 +456,7 @@ def _counts_admit(
 
 def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | None:
     """The first embedding of `gram` into the complement of `sigma` in
-    canonical order, or None if none exists.
+    canonical order (see ``_first_embedding``), or None if none exists.
 
     Embeddings are searched up to the lattice automorphisms fixing sigma
     (coordinate permutations within blocks of equal sigma entries, and sign
@@ -467,51 +472,53 @@ def embed_in_complement(gram: GramMatrix, sigma: Changemaker) -> Embedding | Non
     norm-4 count can cost more than a search (see
     ``changemaker_obstruction``).
     The linking form is not tested here, so this search stays the slow path
-    that ``changemaker_obstruction``'s linking-form test is checked against.
-    Vectors are filled in increasing order of the Gram diagonal, each with
-    the canonical-form state of the vectors before it, built once per filled
-    vector (see ``_first_embedding``); coordinates are processed from the
-    largest sigma entry down; candidate values run from high to low, so the
-    embedding returned is canonical and deterministic."""
+    that ``changemaker_obstruction``'s linking-form test is checked against."""
     d = gram.rank + 1
     if len(sigma) != d:
         raise ValueError(f"sigma must have length {d}, got {len(sigma)}")
     if sigma.norm == 0:
         return None  # the zero vector spans nothing; full rank is impossible
     fits = _index_fit(abs(gram.determinant()), sigma.norm)
-    if fits is None or not _counts_admit(_short_counts(gram), sigma.entries, fits):
+    if fits is None or not _counts_admit(_short_counts(gram, 3), sigma.entries, fits):
         return None
     return _first_embedding(gram, sigma.entries)
 
 
 def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | None:
     """``embed_in_complement`` for the entries of a nonzero changemaker
-    sigma of length rank + 1 that ``_counts_admit``.  Each vector's norm and
+    sigma of length rank + 1 that ``_counts_admit``.  Vectors are filled in
+    increasing order of their norm -G_ii, ties by index; each one's norm and
     its pairings with the vectors before it are read from G once per search.
     ``fill(t, tied, free)`` returns the first embedding extending the
-    vectors filled so far, or None.  It sets vector t's coordinates, largest
-    sigma entry first, with an explicit stack, and passes each candidate to
-    ``place``, which calls fill(t + 1): two Python frames per vector.  Its
-    two rows are built once per filled vector, from the parent's rows and
-    the vector just filled: tied[j] when sigma_j = sigma_(j-1) and rows j - 1
-    and j agree on every filled vector, free[j] when sigma_j = 0 and row j
-    is 0 on every filled vector.  A tied coordinate takes no value above
-    the one before it and a free one no negative value, so rows stay sorted
-    within blocks and a zero row's first nonzero entry is positive: the
-    search is complete up to the symmetries fixing sigma.
+    vectors filled so far, or None.  One loop takes the candidates for
+    vector t in turn, pushes each with its suffix norms, calls fill(t + 1)
+    and pops it: one Python frame per vector, so a leaf is rank + 1 frames
+    below this one.  The candidates come from the generator ``coordinates``,
+    which sets the coordinates, largest sigma entry first and each from high
+    values to low, with an explicit stack, and yields each completed vector;
+    or, at index 1, from a list (below).  Both give the same x in the same
+    order, so the embedding returned is canonical and deterministic.
+    fill's two rows are built once per filled vector, from the parent's rows
+    and the vector just filled: tied[j] when sigma_j = sigma_(j-1) and rows
+    j - 1 and j agree on every filled vector, free[j] when sigma_j = 0 and
+    row j is 0 on every filled vector.  A tied coordinate takes no value
+    above the one before it and a free one no negative value, so rows stay
+    sorted within blocks and a zero row's first nonzero entry is positive:
+    the search is complete up to the symmetries fixing sigma.
     The last coordinate takes only +-isqrt(rem), and only when rem is a
     square, so the norm left is 0; the suffix norms suf_sig2[d] and
     sufv[s][d] are 0 too, so the Cauchy-Schwarz cuts pass only a zero dot
     with sigma and need = 0 for every pairing.  A completed vector thus has
     its norm, pairings and orthogonality, with no test of its own.
-    So the search sets exactly the x of the vector's norm k, orthogonal to
-    sigma, that meet its pairings and rows, in descending order.  At index 1
-    (|det G| = |sigma|^2) and k <= 3, fill keeps these same x, in order,
-    from one list per search of every x of norm k orthogonal to sigma
-    (``_short_vectors``, built on first use); ``_counts_admit`` proved that
-    it has _short_counts(gram)[k - 1] entries.  No such count bounds a list
-    above index 1, where L's counts bound the complement's only from below,
-    and lists of norm 4 and more were measured slower than the search."""
+    So ``coordinates`` yields exactly the x of the vector's norm k,
+    orthogonal to sigma, that meet its pairings and rows, in descending
+    order.  At index 1 (|det G| = |sigma|^2) and k <= 3, fill keeps these
+    same x, in order, by filtering one list per search of every x of norm k
+    orthogonal to sigma (``_short_vectors``, built on first use);
+    ``_counts_admit`` proved that it has _short_counts(gram, 3)[k - 1]
+    entries.  No such count bounds a list above index 1, where L's counts
+    bound the complement's only from below, and lists of norm 4 and more
+    were measured slower than the search."""
     n = gram.rank
     d = n + 1
 
@@ -526,40 +533,8 @@ def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | No
     vecs: list[tuple[int, ...]] = []  # in fill order, in reversed coordinates
     sufv: list[list[int]] = []  # suffix norms of each filled vector
 
-    def fill(t: int, tied: list[bool], free: list[bool]) -> Embedding | None:
-        if t == n:
-            res: list[tuple[int, ...] | None] = [None] * n
-            for s in range(n):
-                res[order[s]] = vecs[s][::-1]
-            emb = Embedding(Changemaker(sigma), tuple(res))  # type: ignore[arg-type]
-            return emb if emb.verifies(gram) else None  # rank check; holds whenever G is definite
+    def coordinates(t: int, tied: list[bool], free: list[bool]) -> Iterator[tuple[int, ...]]:
         diag, offs = facts[t]
-
-        def place(x: tuple[int, ...]) -> Embedding | None:
-            vecs.append(x)
-            sufv.append(list(accumulate((c * c for c in reversed(x)), initial=0))[::-1])
-            emb = fill(t + 1, [tj and x[j - 1] == x[j] for j, tj in enumerate(tied)],
-                       [f and c == 0 for f, c in zip(free, x)])
-            vecs.pop()
-            sufv.pop()
-            return emb
-
-        if diag <= 3 and index1:
-            cands = lists.get(diag)
-            if cands is None:
-                cands = lists[diag] = _short_vectors(sig, diag)
-            for w, o in zip(reversed(vecs), reversed(offs)):
-                cands = [x for x in cands if sum(map(mul, x, w)) == o]
-            t1 = tied[1:]
-            for x in cands:
-                # entries are 0 and +-1: a free one is not -1, a tied one not
-                # above the one before it
-                if -1 in compress(x, free) or any(map(gt, compress(x[1:], t1), compress(x, t1))):
-                    continue
-                emb = place(x)
-                if emb is not None:
-                    return emb
-            return None
         v = [0] * d
 
         def values(j: int, rem: int) -> list[int] | range:
@@ -597,11 +572,40 @@ def _first_embedding(gram: GramMatrix, sigma: tuple[int, ...]) -> Embedding | No
                 if j + 1 < d:
                     stack.append((nrem, nds, nd, iter(values(j + 1, nrem))))
                     break
-                emb = place(tuple(v))
-                if emb is not None:
-                    return emb
+                yield tuple(v)
             else:
                 stack.pop()
+
+    def fill(t: int, tied: list[bool], free: list[bool]) -> Embedding | None:
+        if t == n:
+            res: list[tuple[int, ...] | None] = [None] * n
+            for s in range(n):
+                res[order[s]] = vecs[s][::-1]
+            emb = Embedding(Changemaker(sigma), tuple(res))  # type: ignore[arg-type]
+            return emb if emb.verifies(gram) else None  # rank check; holds whenever G is definite
+        diag, offs = facts[t]
+        if diag <= 3 and index1:
+            cands = lists.get(diag)
+            if cands is None:
+                cands = lists[diag] = _short_vectors(sig, diag)
+            for w, o in zip(reversed(vecs), reversed(offs)):
+                cands = [x for x in cands if sum(map(mul, x, w)) == o]
+            t1 = tied[1:]
+            # entries are 0 and +-1: a free one is not -1, a tied one not
+            # above the one before it
+            cands = [x for x in cands if -1 not in compress(x, free)
+                     and not any(map(gt, compress(x[1:], t1), compress(x, t1)))]
+        else:
+            cands = coordinates(t, tied, free)
+        for x in cands:
+            vecs.append(x)
+            sufv.append(list(accumulate((c * c for c in reversed(x)), initial=0))[::-1])
+            emb = fill(t + 1, [tj and x[j - 1] == x[j] for j, tj in enumerate(tied)],
+                       [f and c == 0 for f, c in zip(free, x)])
+            vecs.pop()
+            sufv.pop()
+            if emb is not None:
+                return emb
         return None
 
     return fill(0, [j > 0 and sig[j - 1] == sig[j] for j in range(d)], [e == 0 for e in sig])
@@ -693,20 +697,21 @@ def changemaker_obstruction(
     usually by its Jacobi exit before p is factored.  Any other c_i is the
     last pivot of -G without row and column i.
 
-    Past the linking form, the norm <= 3 counts of L are taken (once per
-    matrix, ``_short_counts``).  At index 1, L would have exactly the
-    complement's numbers of norm-1 and norm-2 vectors, and the enumeration
-    skips every sigma without them (see ``_changemakers``).  Otherwise every
+    Past the linking form, the norm <= 3 counts of L are taken
+    (``_short_counts``, cached per matrix and bound).  At index 1, L would
+    have exactly the complement's numbers of norm-1 and norm-2 vectors, and
+    the enumeration skips every sigma without them (see ``_changemakers``).  Otherwise every
     changemaker is enumerated, as a tuple of entries, and each meets the
     count conditions of ``embed_in_complement``; only a witness's sigma
     becomes a ``Changemaker``.  At index 1 the search takes the candidates
     for a vector of norm <= 3 from a list as long as L's count of that norm
     (see ``_first_embedding``).
     After the first failed search, `counts` widens to norm 4: L's vectors
-    are counted once more, to norm 4, and later sigma must fit that count
-    too.  It can take ten times as long as the norm <= 3 counts (the rank-30
-    form -I has 438,540 vectors of norm 4); a first search that succeeds
-    never pays it.
+    are counted once more, to norm 4, through the same cache, so a later
+    query on the same matrix counts nothing again; later sigma must fit
+    that count too.  It can take ten times as long as the norm <= 3 counts
+    (the rank-30 form -I has 438,540 vectors of norm 4); a first search that
+    succeeds never pays it.
     Every step reads the one elimination that proved G definite when it
     was built, where G's rank was capped too; none eliminates G again, and
     only the linking form eliminates its cofactors.  p < 1 raises
@@ -720,7 +725,7 @@ def changemaker_obstruction(
     if fits is None or (fits is eq and not _linking_form_admits(gram)):
         return ObstructionResult("obstructed", ())
     found = []
-    counts = _short_counts(gram)
+    counts = _short_counts(gram, 3)
     for sigma in _changemakers(gram.rank + 1, p, counts if fits is eq else None):
         if not _counts_admit(counts, sigma, fits):
             continue
@@ -730,7 +735,7 @@ def changemaker_obstruction(
             if not all_witnesses:
                 break
         elif len(counts) == 3:
-            counts = tuple(_vector_counts(gram._rows, 4)[1:])
+            counts = _short_counts(gram, 4)
     if found:
         return ObstructionResult("witness", tuple(found))
     return ObstructionResult("obstructed", ())

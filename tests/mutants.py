@@ -144,8 +144,9 @@ MUTANTS = (
            "                if v > prev:\n                    break",
            "                if True:\n                    break",
            (T_LA + "test_enumeration_digest",)),
-    # the embedding search: its canonical-form rows, its pairing cut, its
-    # lists of short vectors at index 1, and the zero sigma, which has no index
+    # the embedding search: its canonical-form rows, its pairing cut, the one
+    # loop that places every candidate, its lists of short vectors at index 1,
+    # and the zero sigma, which has no index
     Mutant("search-tied-row-ignores-filled-vector", LA,
            "x[j - 1] == x[j]", "True",
            (T_LA + "test_gd_embedding_found_and_verifies",)),
@@ -156,6 +157,9 @@ MUTANTS = (
     Mutant("search-pairing-cut-strict", LA,
            "need * need > sufv[s][j + 1] * nrem", "need * need >= sufv[s][j + 1] * nrem",
            (T_LA + "test_gd_embedding_found_and_verifies",)),
+    Mutant("search-loop-without-suffix-norm-pop", LA,
+           "            sufv.pop()\n", "",
+           (T_LA + "test_gd_embedding_found_and_verifies",)),
     # a list filter that is dropped leaves the first embedding as it was,
     # but the search places more vectors, or completes wrong ones
     Mutant("search-list-without-pairing-filter", LA,
@@ -163,10 +167,10 @@ MUTANTS = (
            "                pass\n",
            (T_LA + "test_every_search_leaf_verifies",)),
     Mutant("search-list-without-tied-row-filter", LA,
-           " or any(map(gt, compress(x[1:], t1), compress(x, t1)))", "",
+           "not any(map(gt, compress(x[1:], t1), compress(x, t1)))", "True",
            (T_LA + "test_lists_place_what_the_coordinate_search_places",)),
     Mutant("search-list-without-free-row-filter", LA,
-           "-1 in compress(x, free) or ", "",
+           "-1 not in compress(x, free)", "True",
            (T_LA + "test_lists_place_what_the_coordinate_search_places",)),
     Mutant("search-lists-at-every-index", LA,
            "if diag <= 3 and index1:", "if diag <= 3:",

@@ -4,6 +4,7 @@ import itertools
 import json
 import pickle
 import random
+import sys
 from math import comb, gcd, isqrt
 from operator import eq
 
@@ -205,13 +206,25 @@ def test_embed_rank_one():
 
 
 def test_rank_30_search_stays_within_recursion_limit(monkeypatch):
-    """The search takes two Python frames per vector, fill and place.  A
-    frame per coordinate of each vector would need about 30 * 33 frames
-    here, near the default limit of 1000, and the trivial witness would
-    raise RecursionError.  The witness is the first sigma searched, so L's norm-4 vectors, which
-    take over ten times as long to count as those of norm <= 3, are never
+    """The search takes one Python frame per vector, fill, and one more at
+    the leaf, so exactly rank + 1 frames lie between ``_first_embedding``
+    and ``Embedding.verifies``: 512 for a rank-511 form, the largest that
+    GramMatrix accepts, under the default limit of 1000.  A frame per
+    coordinate of each vector would need about 30 * 33 frames here, near
+    that limit, and the trivial witness would raise RecursionError.  The
+    witness is the first sigma searched, so L's norm-4 vectors, which take
+    over ten times as long to count as those of norm <= 3, are never
     counted."""
     vector_counts = la._vector_counts
+    verifies, search = la.Embedding.verifies, la._first_embedding.__code__
+    depths = []
+
+    def verifies_at_leaf(emb, gram):
+        frame, depth = sys._getframe(1), 0
+        while frame.f_code is not search:
+            frame, depth = frame.f_back, depth + 1
+        depths.append(depth)
+        return verifies(emb, gram)
 
     def norm3_only(u, top):
         if top > 3:
@@ -219,6 +232,7 @@ def test_rank_30_search_stays_within_recursion_limit(monkeypatch):
         return vector_counts(u, top)
 
     monkeypatch.setattr(la, "_vector_counts", norm3_only)
+    monkeypatch.setattr(la.Embedding, "verifies", verifies_at_leaf)
     rank = 30
     minus_i = la.GramMatrix(
         [[-1 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -226,7 +240,8 @@ def test_rank_30_search_stays_within_recursion_limit(monkeypatch):
     res = la.changemaker_obstruction(minus_i, 1)
     assert res.status == "witness"
     assert res.first().sigma.entries == (0,) * rank + (1,)
-    assert res.first().verifies(minus_i)
+    assert verifies(res.first(), minus_i)
+    assert depths == [rank + 1]
 
 
 def test_every_search_leaf_verifies(monkeypatch):
@@ -400,7 +415,9 @@ def test_all_yielded_embeddings_verify():
 
 def test_gram_facts_computed_once_per_query(monkeypatch):
     """GD at 226 reads the elimination made when GD was built, and counts
-    L's vectors of norm <= 3 once for all its changemakers."""
+    L's vectors of norm <= 3 once for all its changemakers, and to norm 4
+    once after its first failed search.  A second query on GD counts
+    nothing: both counts come from one cache."""
     tops = []
     vector_counts = la._vector_counts
     monkeypatch.setattr(la, "_positive_elimination", no_elimination)
@@ -408,8 +425,11 @@ def test_gram_facts_computed_once_per_query(monkeypatch):
         la, "_vector_counts", lambda u, top: tops.append(top) or vector_counts(u, top)
     )
     la._short_counts.cache_clear()
-    assert len(la.changemaker_obstruction(GD, 226, all_witnesses=True).witnesses) >= 1
-    assert tops.count(3) == 1
+    want = la.changemaker_obstruction(GD, 226, all_witnesses=True)
+    assert len(want.witnesses) >= 1
+    assert tops == [3, 4]
+    assert la.changemaker_obstruction(GD, 226, all_witnesses=True) == want
+    assert tops == [3, 4]
 
 
 def test_no_index_obstructs_without_enumerating(monkeypatch):
@@ -571,8 +591,9 @@ def test_short_counts_against_brute_force():
             q = sum(gp[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
             if q <= 4:
                 want[q] += 1
-        assert la._short_counts(gram) == (want[1], want[2], want[3]), gram
+        assert la._short_counts(gram, 3) == (want[1], want[2], want[3]), gram
         assert la._vector_counts(gram._rows, 4) == want, gram
+        assert la._short_counts(gram, 4) == tuple(want[1:]), gram
         assert abs(gram.determinant()) == det
 
 
@@ -692,7 +713,7 @@ def index1_cases():
     complements = [complement_gram(random.Random(s.norm), s) for s in zeros]
     cases = []
     for gram in search_digest_forms() + complements:
-        counts = la._short_counts(gram)
+        counts = la._short_counts(gram, 3)
         cases += [(gram, sigma) for sigma in
                   la._changemakers(gram.rank + 1, abs(gram.determinant()), counts)
                   if la._counts_admit(counts, sigma, eq)]
@@ -714,7 +735,7 @@ def test_short_vectors_against_brute_force_and_counts():
                 want[k].append(x)
         for k in (1, 2, 3):
             assert la._short_vectors(sig, k) == want[k], (sigma, k)
-            assert len(want[k]) == la._short_counts(gram)[k - 1], (sigma, k)
+            assert len(want[k]) == la._short_counts(gram, 3)[k - 1], (sigma, k)
     assert len(cases) == 48
 
 
@@ -796,6 +817,7 @@ def test_norm4_count_after_first_failed_search(monkeypatch):
     def work():
         searches.clear()
         tops.clear()
+        la._short_counts.cache_clear()  # the two passes share its norm-4 entries
         results = [la.changemaker_obstruction(gram, abs(gram.determinant()), all_witnesses=all_w)
                    for gram, all_w in lattice_search_forms()]
         assert sum(r.status == "witness" for r in results) == 3
@@ -840,7 +862,7 @@ def test_enumeration_digest():
     yielded = []
     for gram in grams:
         det = abs(gram.determinant())
-        yielded.append(len(list(la._changemakers(gram.rank + 1, det, la._short_counts(gram)))))
+        yielded.append(len(list(la._changemakers(gram.rank + 1, det, la._short_counts(gram, 3)))))
     assert yielded == [11, 40, 186, 220, 2, 2, 9, 1122]
 
 
